@@ -37,7 +37,7 @@ so this module checks them structurally:
     invoked directly on the loop instead of through the executor.
 
 ``kernel-scalar-loop``
-    The columnar kernels in :mod:`repro.core.kernels` and
+    The batch kernels in :mod:`repro.core.operators` and
     :mod:`repro.core.aggregates` earn their speedup by moving data as
     whole arrays; a ``for`` statement binding union *values* one
     element at a time (``for v in union.values``,
@@ -118,7 +118,7 @@ ASYNC_SUBJECT_HINTS = ("session", "pool")
 
 #: Modules under ``core/`` holding the hot batch kernels the
 #: ``kernel-scalar-loop`` rule polices.
-KERNEL_MODULES = frozenset({"kernels.py", "aggregates.py"})
+KERNEL_MODULES = frozenset({"operators.py", "aggregates.py"})
 
 #: Iterator wrappers whose arguments still bind elements one at a time.
 ELEMENTWISE_WRAPPERS = frozenset({"enumerate", "zip", "reversed", "sorted"})

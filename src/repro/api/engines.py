@@ -13,9 +13,7 @@ all select engines the same way:
 ====================  ====================================================
 registry name         backend
 ====================  ====================================================
-``fdb``               factorised evaluation, flat output (the paper's FDB;
-                      columnar kernel)
-``fdb-legacy``        same pipeline over the per-node legacy layout
+``fdb``               factorised evaluation, flat output (the paper's FDB)
 ``fdb-factorised``    factorised evaluation, factorised output (FDB f/o)
 ``fdb-parallel``      sharded parallel FDB with merge aggregation
 ``rdb``               flat baseline, sort-based grouping (SQLite model)
@@ -133,23 +131,11 @@ class Engine(ABC):
 
 
 class FDBBackend(Engine):
-    """Factorised evaluation; ``output`` selects FDB vs FDB f/o.
+    """Factorised evaluation; ``output`` selects FDB vs FDB f/o."""
 
-    ``layout`` picks the physical union representation: ``"columnar"``
-    (the batch-kernel default) or ``"legacy"`` (per-node objects, kept
-    registered as ``fdb-legacy`` for comparison benchmarks).
-    """
-
-    def __init__(
-        self,
-        output: str = "flat",
-        optimizer: str = "cost",
-        layout: str = "columnar",
-    ) -> None:
-        self._engine = FDBEngine(output=output, optimizer=optimizer, layout=layout)
+    def __init__(self, output: str = "flat", optimizer: str = "cost") -> None:
+        self._engine = FDBEngine(output=output, optimizer=optimizer)
         self.name = "FDB" if output == "flat" else "FDB f/o"
-        if layout == "legacy":
-            self.name += " (legacy layout)"
         # Cost-based plans depend on live statistics, so the prepared-
         # query fingerprint must include the stats-cache epochs.
         self.stats_sensitive = optimizer == "cost"
@@ -479,9 +465,6 @@ def _sharded_factory(**options) -> Engine:
 
 
 register_engine("fdb", FDBBackend)
-register_engine(
-    "fdb-legacy", lambda **options: FDBBackend(layout="legacy", **options)
-)
 register_engine(
     "fdb-factorised", lambda **options: FDBBackend(output="factorised", **options)
 )

@@ -27,22 +27,15 @@ The subpackage implements, bottom-up:
 """
 
 from repro.core.ftree import AggregateAttribute, FNode, FTree, PathConstraintError
-from repro.core.frep import (
-    ColumnarFactorisation,
-    CUnion,
-    Factorisation,
-    FRNode,
-)
+from repro.core.frep import CUnion, Factorisation
 
 __all__ = [
     "AggregateAttribute",
-    "ColumnarFactorisation",
     "CUnion",
     "FDBEngine",
     "FNode",
     "FTree",
     "Factorisation",
-    "FRNode",
     "PathConstraintError",
 ]
 

@@ -4,9 +4,12 @@ These evaluators compute an aggregation function over the relation
 *represented* by a factorisation fragment, in time linear in the size of
 the fragment — even though the represented relation can be exponentially
 larger.  The four cases of each paper algorithm map onto our structure
-as follows: a singleton is an entry's value; a union is the list of
-entries of a node; a product is an entry's tuple of child fragments
-(plus the product across forest roots).
+as follows: a singleton is an entry of a union's value array; a union
+is one :class:`repro.core.frep.CUnion` of a node; a product is an
+entry's child fragments, one per child column (plus the product across
+forest roots).  Each union is evaluated as a batch — one pass per child
+column, with leaf columns fused and shared fragments evaluated once per
+call — so the Python-level work is per union, not per value.
 
 Aggregate attributes are interpreted as pre-aggregated relations
 (Example 6): a ⟨count(X): c⟩ singleton counts as ``c`` tuples, and a
@@ -27,16 +30,12 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Any, Iterator, Sequence
 
-from repro.core.frep import CUnion, FRNode, iter_entries
+from repro.core.frep import CUnion, iter_entries
 from repro.core.ftree import AggregateAttribute, FNode
 from repro.expr import Attr, Expr, Term, linearise
 
-#: A fragment is a node together with its union of entries.  Unions may
-#: be legacy (``list[FRNode]``) or columnar (:class:`CUnion`); every
-#: union-level evaluator dispatches on the type, so forests may mix
-#: layouts (the engine's group-value fragments are legacy one-entry
-#: unions even when the data fragments are columnar).
-FragmentItem = tuple[FNode, list]
+#: A fragment is a node together with its union of entries.
+FragmentItem = tuple[FNode, CUnion]
 
 #: One γ component: an aggregation function over a bare attribute
 #: (``("sum", "price")``), over nothing (``("count", None)``), or over
@@ -55,45 +54,17 @@ class EmptyAggregateError(ValueError):
 # ---------------------------------------------------------------------------
 # count (Section 3.2.1)
 # ---------------------------------------------------------------------------
-def count_union(node: FNode, union: list[FRNode]) -> int:
+def count_union(node: FNode, union: CUnion) -> int:
     """|⟦E⟧| for the fragment of ``node``: Σ over entries (disjoint union)."""
-    if type(union) is CUnion:
-        return _count_cunion(node, union)
-    total = 0
-    for entry in union:
-        total += _entry_multiplicity(node, entry) * _children_count(node, entry)
-    return total
-
-
-def _count_cunion(node: FNode, union: CUnion) -> int:
-    """Batch count: one comprehension pass per child column."""
-    values = union.values
-    cols = union.children
-    if node.aggregate is None:
-        acc = None  # all multiplicities are 1
-    else:
-        component = _count_component(node)
-        acc = [value[component] for value in values]
-    if not cols:
-        return len(values) if acc is None else sum(acc)
-    for child, col in zip(node.children, cols):
-        counts = [count_union(child, sub) for sub in col]
-        acc = counts if acc is None else [a * c for a, c in zip(acc, counts)]
-    return sum(acc)
+    return _count(node, union, {})
 
 
 def count_forest(items: Sequence[FragmentItem]) -> int:
     """|⟦E1 × ... × Ek⟧| = Π |⟦Ei⟧| (product of independent fragments)."""
     product = 1
+    memo: dict = {}
     for node, union in items:
-        product *= count_union(node, union)
-    return product
-
-
-def _children_count(node: FNode, entry: FRNode) -> int:
-    product = 1
-    for child, child_union in zip(node.children, entry.children):
-        product *= count_union(child, child_union)
+        product *= _count(node, union, memo)
     return product
 
 
@@ -112,10 +83,6 @@ def _value_multiplicity(node: FNode, value: Any) -> int:
     if node.aggregate is None:
         return 1
     return value[_count_component(node)]
-
-
-def _entry_multiplicity(node: FNode, entry: FRNode) -> int:
-    return _value_multiplicity(node, entry.value)
 
 
 def empty_aggregate_components(functions: Sequence[Component]) -> tuple:
@@ -149,126 +116,27 @@ def forest_is_empty(items: Sequence[FragmentItem]) -> bool:
     represents no tuples — an empty union, every entry blocked by an
     empty child fragment, or a ⟨count: 0⟩ singleton.
     """
-    return any(_union_is_empty(node, union) for node, union in items)
-
-
-def union_is_empty(node: FNode, union) -> bool:
-    """Whether one fragment represents zero tuples (either layout)."""
-    return _union_is_empty(node, union)
-
-
-def _union_is_empty(node: FNode, union) -> bool:
-    if type(union) is CUnion:
-        return _cunion_is_empty(node, union)
-    return all(_entry_is_empty(node, entry) for entry in union)
-
-
-def _cunion_is_empty(node: FNode, union: CUnion) -> bool:
-    values = union.values
-    if not values:
-        return True
-    cols = union.children
-    children = node.children
-    component = (
-        node.aggregate.count_component if node.aggregate is not None else None
-    )
-    span = range(len(cols))
-    # Early exit on the first non-empty entry (the common case).
-    for i, value in enumerate(values):  # repro: allow[kernel-scalar-loop]
-        if component is not None and value[component] == 0:
-            continue
-        if any(_union_is_empty(children[c], cols[c][i]) for c in span):
-            continue
-        return False
-    return True
-
-
-def _entry_is_empty(node: FNode, entry: FRNode) -> bool:
-    if node.aggregate is not None:
-        component = node.aggregate.count_component
-        if component is not None and entry.value[component] == 0:
-            return True
-    return any(
-        _union_is_empty(child, child_union)
-        for child, child_union in zip(node.children, entry.children)
-    )
+    memo: dict = {}
+    return any(_is_empty(node, union, memo) for node, union in items)
 
 
 # ---------------------------------------------------------------------------
 # sum_A (Section 3.2.2)
 # ---------------------------------------------------------------------------
-def sum_union(attribute: str, node: FNode, union: list[FRNode]) -> Any:
+def sum_union(attribute: str, node: FNode, union: CUnion) -> Any:
     """Σ of ``attribute`` over ⟦fragment⟧."""
-    if type(union) is CUnion:
-        return _sum_cunion(attribute, node, union)
-    carrier = _carries(node, attribute, "sum")
-    total: Any = 0
-    if carrier == "here":
-        component = (
-            None
-            if node.aggregate is None
-            else node.aggregate.sum_component(attribute)
-        )
-        for entry in union:
-            value = entry.value if component is None else entry.value[component]
-            total += value * _children_count(node, entry)
-        return total
-    # The attribute lives deeper: Σ over entries of mult · sum(children).
-    for entry in union:
-        total += _entry_multiplicity(node, entry) * sum_forest(
-            attribute, list(zip(node.children, entry.children))
-        )
-    return total
-
-
-def _sum_cunion(attribute: str, node: FNode, union: CUnion) -> Any:
-    """Batch Σ: carrier resolved once per union, one pass per column."""
-    carrier = _carries(node, attribute, "sum")
-    values = union.values
-    cols = union.children
-    if carrier == "here":
-        component = (
-            None
-            if node.aggregate is None
-            else node.aggregate.sum_component(attribute)
-        )
-        acc = (
-            list(values)
-            if component is None
-            else [value[component] for value in values]
-        )
-        for child, col in zip(node.children, cols):
-            counts = [count_union(child, sub) for sub in col]
-            acc = [a * c for a, c in zip(acc, counts)]
-        return sum(acc)
-    # Below: exactly one child column carries the attribute; its partial
-    # sums are scaled by the counts of the sibling columns and by the
-    # entry multiplicities.
-    children = node.children
-    carrier_index = _locate_nodes(children, attribute, "sum")
-    acc = [
-        sum_union(attribute, children[carrier_index], sub)
-        for sub in cols[carrier_index]
-    ]
-    for c, child in enumerate(children):
-        if c == carrier_index:
-            continue
-        counts = [count_union(child, sub) for sub in cols[c]]
-        acc = [a * k for a, k in zip(acc, counts)]
-    if node.aggregate is not None:
-        component = _count_component(node)
-        acc = [a * value[component] for a, value in zip(acc, values)]
-    return sum(acc)
+    return _sum(attribute, node, union, {})
 
 
 def sum_forest(attribute: str, items: Sequence[FragmentItem]) -> Any:
     """Σ of ``attribute`` over a product: sum in its fragment × counts."""
     carrier_index = _locate(items, attribute, "sum")
     node, union = items[carrier_index]
-    total = sum_union(attribute, node, union)
+    memo: dict = {}
+    total = _sum(attribute, node, union, memo)
     for index, (other_node, other_union) in enumerate(items):
         if index != carrier_index:
-            total *= count_union(other_node, other_union)
+            total *= _count(other_node, other_union, memo)
     return total
 
 
@@ -276,55 +144,10 @@ def sum_forest(attribute: str, items: Sequence[FragmentItem]) -> Any:
 # min_A / max_A (Section 3.2.3)
 # ---------------------------------------------------------------------------
 def extremum_union(
-    function: str, attribute: str, node: FNode, union: list[FRNode]
-) -> Any:
-    """min/max of ``attribute`` over ⟦fragment⟧ (multiplicity-free)."""
-    if type(union) is CUnion:
-        return _extremum_cunion(function, attribute, node, union)
-    pick = min if function == "min" else max
-    if not union:
-        raise EmptyAggregateError(f"{function} over an empty fragment")
-    carrier = _carries(node, attribute, function)
-    if carrier == "here":
-        component = (
-            None
-            if node.aggregate is None
-            else node.aggregate.component(function, attribute)
-        )
-        return pick(
-            entry.value if component is None else entry.value[component]
-            for entry in union
-        )
-    return pick(
-        extremum_forest(function, attribute, list(zip(node.children, entry.children)))
-        for entry in union
-    )
-
-
-def _extremum_cunion(
     function: str, attribute: str, node: FNode, union: CUnion
 ) -> Any:
-    """Batch min/max; sortedness gives the atomic 'here' case in O(1)."""
-    pick = min if function == "min" else max
-    values = union.values
-    if not values:
-        raise EmptyAggregateError(f"{function} over an empty fragment")
-    carrier = _carries(node, attribute, function)
-    if carrier == "here":
-        component = (
-            None
-            if node.aggregate is None
-            else node.aggregate.component(function, attribute)
-        )
-        if component is None:
-            return values[0] if function == "min" else values[-1]
-        return pick(value[component] for value in values)
-    carrier_index = _locate_nodes(node.children, attribute, function)
-    child = node.children[carrier_index]
-    return pick(
-        extremum_union(function, attribute, child, sub)
-        for sub in union.children[carrier_index]
-    )
+    """min/max of ``attribute`` over ⟦fragment⟧ (multiplicity-free)."""
+    return _extremum(function, attribute, node, union, {})
 
 
 def extremum_forest(
@@ -334,6 +157,344 @@ def extremum_forest(
     carrier_index = _locate(items, attribute, function)
     node, union = items[carrier_index]
     return extremum_union(function, attribute, node, union)
+
+
+# ---------------------------------------------------------------------------
+# Batch evaluation over union columns
+# ---------------------------------------------------------------------------
+_MISSING = object()
+
+
+def _plain_leaf(node: FNode, memo: dict) -> bool:
+    """Whether ``node`` is a childless atomic class (cached per node).
+
+    Leaf fragments dominate the recursion fan-out, so their evaluation
+    is fused into the caller's comprehension instead of paying one
+    Python call per leaf union.
+    """
+    key = ("leaf", id(node))
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = node.aggregate is None and not node.children
+    return got
+
+
+def _agg_leaf(child: FNode, memo: dict) -> tuple:
+    """``(is_aggregate_leaf, count_component_or_None)`` cached per node.
+
+    Aggregate leaves are the γ-produced ``__agg`` nodes; fusing them in
+    the column passes below skips one recursion level.  A leaf that
+    retains no count component (pure Σ) still reports ``True`` — the
+    callers decide whether that is fusable (emptiness) or must fall
+    through to the strict path (counting raises, Prop. 2)."""
+    key = ("aleaf", id(child))
+    got = memo.get(key)
+    if got is None:
+        if child.aggregate is not None and not child.children:
+            got = (True, child.aggregate.count_component)
+        else:
+            got = (False, None)
+        memo[key] = got
+    return got
+
+
+def _count_col(child: FNode, col: Sequence[CUnion], memo: dict) -> list:
+    """Counts of one child column, with the leaf cases fused."""
+    if _plain_leaf(child, memo):
+        # A plain leaf fragment counts its entries.
+        return [len(sub.values) for sub in col]
+    is_leaf, component = _agg_leaf(child, memo)
+    if is_leaf and component is not None:
+        # Aggregate leaf: the count is the fold of count components.
+        return [sum(value[component] for value in sub.values) for sub in col]
+    return [_count(child, sub, memo) for sub in col]
+
+
+def empty_column(node: FNode, col: Sequence[CUnion], memo: dict) -> list:
+    """Per-entry emptiness of one child column (leaf cases fused)."""
+    if _plain_leaf(node, memo):
+        # A plain leaf union is empty iff it has no values.
+        return [not sub.values for sub in col]
+    is_leaf, component = _agg_leaf(node, memo)
+    if is_leaf:
+        if component is None:
+            # No count component: any retained entry is live.
+            return [not sub.values for sub in col]
+        # Aggregate leaf: dead iff every entry's count component is 0.
+        return [
+            not any(value[component] for value in sub.values) for sub in col
+        ]
+    return [_is_empty(node, sub, memo) for sub in col]
+
+
+def _count(node: FNode, union: CUnion, memo: dict) -> int:
+    """|⟦fragment⟧| with a shared-fragment cache.
+
+    Restructuring operators (swap, nest) share fragments instead of
+    copying them, so the same union object recurs under many parent
+    entries; one evaluation visits each shared subtree once.  Keys pair
+    object identities — every keyed object is kept alive by the
+    factorisation for the lifetime of ``memo``.
+    """
+    key = ("c", id(node), id(union))
+    got = memo.get(key, _MISSING)
+    if got is not _MISSING:
+        return got
+    values = union.values
+    cols = union.children
+    if node.aggregate is None:
+        acc = None  # all multiplicities are 1
+    else:
+        component = _count_component(node)
+        acc = [value[component] for value in values]
+    if not cols:
+        got = len(values) if acc is None else sum(acc)
+    else:
+        for child, col in zip(node.children, cols):
+            counts = _count_col(child, col, memo)
+            acc = counts if acc is None else [a * c for a, c in zip(acc, counts)]
+        got = sum(acc)
+    memo[key] = got
+    return got
+
+
+def _sum_meta(attribute: str, node: FNode, memo: dict) -> tuple:
+    """Carrier decision for Σ at ``node`` — the subtree walk of
+    ``_carries``/``_locate_nodes`` resolved once per node, not per
+    fragment visit."""
+    key = ("sm", attribute, id(node))
+    meta = memo.get(key)
+    if meta is None:
+        if _carries(node, attribute, "sum") == "here":
+            component = (
+                None
+                if node.aggregate is None
+                else node.aggregate.sum_component(attribute)
+            )
+            meta = ("here", component)
+        else:
+            meta = ("below", _locate_nodes(node.children, attribute, "sum"))
+        memo[key] = meta
+    return meta
+
+
+def _sum(attribute: str, node: FNode, union: CUnion, memo: dict) -> Any:
+    """Σ of ``attribute`` over ⟦fragment⟧ (cached like :func:`_count`).
+
+    Where the node carries the attribute, its values are weighted by
+    the children's counts; otherwise exactly one child column carries
+    it, and its partial sums are scaled by the counts of the sibling
+    columns and by the entry multiplicities.
+    """
+    key = ("s", attribute, id(node), id(union))
+    got = memo.get(key, _MISSING)
+    if got is not _MISSING:
+        return got
+    carrier, where = _sum_meta(attribute, node, memo)
+    values = union.values
+    cols = union.children
+    if carrier == "here":
+        acc = (
+            list(values)
+            if where is None
+            else [value[where] for value in values]
+        )
+        for child, col in zip(node.children, cols):
+            counts = _count_col(child, col, memo)
+            acc = [a * c for a, c in zip(acc, counts)]
+        got = sum(acc)
+    else:
+        children = node.children
+        carrier_node = children[where]
+        if _plain_leaf(carrier_node, memo):
+            # Leaf carrier: Σ of each sub-union is the sum of its own
+            # (atomic) values — fused, no per-union recursion.
+            acc = [sum(sub.values) for sub in cols[where]]
+        else:
+            acc = [
+                _sum(attribute, carrier_node, sub, memo) for sub in cols[where]
+            ]
+        for c, child in enumerate(children):
+            if c == where:
+                continue
+            counts = _count_col(child, cols[c], memo)
+            acc = [a * k for a, k in zip(acc, counts)]
+        if node.aggregate is not None:
+            component = _count_component(node)
+            acc = [a * value[component] for a, value in zip(acc, values)]
+        got = sum(acc)
+    memo[key] = got
+    return got
+
+
+def _extremum_meta(
+    function: str, attribute: str, node: FNode, memo: dict
+) -> tuple:
+    """Per-node carrier decision for min/max (see :func:`_sum_meta`)."""
+    key = ("mm", function, attribute, id(node))
+    meta = memo.get(key)
+    if meta is None:
+        if _carries(node, attribute, function) == "here":
+            component = (
+                None
+                if node.aggregate is None
+                else node.aggregate.component(function, attribute)
+            )
+            meta = ("here", component)
+        else:
+            meta = ("below", _locate_nodes(node.children, attribute, function))
+        memo[key] = meta
+    return meta
+
+
+def _extremum(
+    function: str, attribute: str, node: FNode, union: CUnion, memo: dict
+) -> Any:
+    """min/max over ⟦fragment⟧; sortedness gives the atomic case in O(1)."""
+    key = ("m", function, attribute, id(node), id(union))
+    got = memo.get(key, _MISSING)
+    if got is not _MISSING:
+        return got
+    values = union.values
+    if not values:
+        raise EmptyAggregateError(f"{function} over an empty fragment")
+    carrier, where = _extremum_meta(function, attribute, node, memo)
+    pick = min if function == "min" else max
+    if carrier == "here":
+        if where is None:
+            # Sorted union: the extremum is at an end.
+            got = values[0] if function == "min" else values[-1]
+        else:
+            got = pick(value[where] for value in values)
+    else:
+        got = pick(
+            _leaf_extrema(
+                function,
+                attribute,
+                node.children[where],
+                union.children[where],
+                memo,
+            )
+        )
+    memo[key] = got
+    return got
+
+
+def _leaf_extrema(
+    function: str,
+    attribute: str,
+    node: FNode,
+    col: Sequence[CUnion],
+    memo: dict,
+) -> list:
+    """min/max per fragment of one column (plain leaves fused)."""
+    if _plain_leaf(node, memo):
+        # Sorted sub-unions expose extrema at an end; the slow path
+        # keeps the EmptyAggregateError for ∅.
+        end = 0 if function == "min" else -1
+        return [
+            sub.values[end]
+            if sub.values
+            else _extremum(function, attribute, node, sub, memo)
+            for sub in col
+        ]
+    return [_extremum(function, attribute, node, sub, memo) for sub in col]
+
+
+def _is_empty(node: FNode, union: CUnion, memo: dict) -> bool:
+    """Whether a fragment represents zero tuples (cached)."""
+    values = union.values
+    if not values:
+        return True
+    key = ("e", id(node), id(union))
+    got = memo.get(key)
+    if got is None:
+        cols = union.children
+        children = node.children
+        component = (
+            node.aggregate.count_component
+            if node.aggregate is not None
+            else None
+        )
+        span = range(len(cols))
+        got = True
+        for i, value in enumerate(values):  # repro: allow[kernel-scalar-loop] -- early exit on first live entry
+            if component is not None and value[component] == 0:
+                continue
+            if any(_is_empty(children[c], cols[c][i], memo) for c in span):
+                continue
+            got = False
+            break
+        memo[key] = got
+    return got
+
+
+def batch_components(
+    functions: Sequence[tuple[str, str | None]],
+    nodes: Sequence[FNode],
+    cols: Sequence[Sequence[CUnion]],
+    n: int,
+    memo: dict,
+) -> list[tuple]:
+    """Component tuples for ``n`` contexts, one array pass per component.
+
+    ``cols[c][i]`` is the fragment of aggregated child ``c`` in context
+    ``i``.  Per-child count arrays are computed lazily once and shared
+    (an AVG's count and sum reuse them), mirroring the shared-count rule
+    of :func:`evaluate_components`.  ``memo`` carries the
+    shared-fragment cache across the parent entries of one operator
+    application (see :func:`_count`).
+    """
+    count_cols: dict[int, list[int]] = {}
+
+    def counts_for(c: int) -> list[int]:
+        got = count_cols.get(c)
+        if got is None:
+            got = count_cols[c] = _count_col(nodes[c], cols[c], memo)
+        return got
+
+    total_counts: list[int] | None = None
+
+    def counted() -> list[int]:
+        nonlocal total_counts
+        if total_counts is None:
+            acc = [1] * n
+            for c in range(len(nodes)):
+                acc = [a * k for a, k in zip(acc, counts_for(c))]
+            total_counts = acc
+        return total_counts
+
+    columns: list[list] = []
+    for function, attribute in functions:
+        if function == "count":
+            columns.append(counted())
+        elif function == "sum":
+            carrier = _locate_nodes(nodes, attribute, "sum")
+            if _plain_leaf(nodes[carrier], memo):
+                acc = [sum(sub.values) for sub in cols[carrier]]
+            else:
+                acc = [
+                    _sum(attribute, nodes[carrier], sub, memo)
+                    for sub in cols[carrier]
+                ]
+            for c in range(len(nodes)):
+                if c != carrier:
+                    acc = [a * k for a, k in zip(acc, counts_for(c))]
+            columns.append(acc)
+        elif function in ("min", "max"):
+            carrier = _locate_nodes(nodes, attribute, function)
+            columns.append(
+                _leaf_extrema(
+                    function, attribute, nodes[carrier], cols[carrier], memo
+                )
+            )
+        else:
+            raise CompositionError(
+                f"unknown aggregation function {function!r}"
+            )
+    if not columns:
+        return [()] * n
+    return list(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +629,7 @@ def sum_expression_forest(
 
 
 def _count_item(
-    node: FNode, union: list, evaluator: "CachedEvaluator | None"
+    node: FNode, union: CUnion, evaluator: "CachedEvaluator | None"
 ) -> int:
     if evaluator is not None:
         return evaluator.count_item(node, union)
@@ -478,7 +639,7 @@ def _count_item(
 def _sum_item(
     attribute: str,
     node: FNode,
-    union: list,
+    union: CUnion,
     evaluator: "CachedEvaluator | None",
 ) -> Any:
     if evaluator is not None:
@@ -542,7 +703,7 @@ def _term_sum_forest(
 def _term_sum_fragment(
     factors: Sequence[Expr],
     node: FNode,
-    union: list,
+    union: CUnion,
     evaluator: "CachedEvaluator | None",
     stats: ExpressionStats | None,
 ) -> Any:
@@ -694,7 +855,7 @@ def _iter_forest_bindings(
 
 
 def _iter_fragment_bindings(
-    node: FNode, union: list, needed: set[str]
+    node: FNode, union: CUnion, needed: set[str]
 ) -> Iterator[tuple[dict[str, Any], int]]:
     for value, entry_children in iter_entries(union):
         if node.aggregate is not None:
@@ -893,18 +1054,18 @@ class CachedEvaluator:
         self._pins: list = []
         self.stats = stats
 
-    def _memo(self, key: tuple, union: list, compute) -> Any:
+    def _memo(self, key: tuple, union: CUnion, compute) -> Any:
         if key not in self._cache:
             self._cache[key] = compute()
             self._pins.append(union)
         return self._cache[key]
 
-    def count_item(self, node: FNode, union: list[FRNode]) -> int:
+    def count_item(self, node: FNode, union: CUnion) -> int:
         return self._memo(
             ("count", id(union)), union, lambda: count_union(node, union)
         )
 
-    def sum_item(self, attribute: str, node: FNode, union: list[FRNode]) -> Any:
+    def sum_item(self, attribute: str, node: FNode, union: CUnion) -> Any:
         return self._memo(
             ("sum", attribute, id(union)),
             union,
@@ -912,7 +1073,7 @@ class CachedEvaluator:
         )
 
     def extremum_item(
-        self, function: str, attribute: str, node: FNode, union: list[FRNode]
+        self, function: str, attribute: str, node: FNode, union: CUnion
     ) -> Any:
         return self._memo(
             (function, attribute, id(union)),

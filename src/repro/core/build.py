@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.frep import ColumnarFactorisation, CUnion, Factorisation, FRNode
+from repro.core.frep import CUnion, Factorisation
 from repro.core.ftree import FNode, FTree, path_ftree
 from repro.relational.relation import Relation
 
@@ -35,19 +35,13 @@ def factorise(
     relation: Relation,
     ftree: FTree,
     check: bool = False,
-    layout: str = "legacy",
 ) -> Factorisation:
     """Factorise ``relation`` over ``ftree``.
 
     The f-tree's atomic attributes must cover the relation's schema
     exactly (aggregate nodes are not allowed — they only appear in
-    derived factorisations).  ``layout`` selects the physical
-    representation: ``"legacy"`` (per-singleton :class:`FRNode` objects)
-    or ``"columnar"`` (struct-of-arrays :class:`CUnion` built directly,
-    no conversion pass).
+    derived factorisations).
     """
-    if layout not in ("legacy", "columnar"):
-        raise FactoriseError(f"unknown factorisation layout {layout!r}")
     tree_attrs = ftree.atomic_attributes()
     for node in ftree.nodes():
         if node.is_aggregate:
@@ -62,17 +56,11 @@ def factorise(
         )
 
     position = {attr: i for i, attr in enumerate(relation.schema)}
-    builder = (
-        _build_union_local if layout == "legacy" else _build_cunion_local
-    )
     roots = [
-        _build_union(
-            node, _project(relation.rows, node, position), position, builder
-        )
+        _build_union(node, _project(relation.rows, node, position), position)
         for node in ftree.roots
     ]
-    container = Factorisation if layout == "legacy" else ColumnarFactorisation
-    fact = container(ftree, roots)
+    fact = Factorisation(ftree, roots)
     if check and sorted(fact.iter_tuples()) != sorted(
         _reorder(relation, fact.schema())
     ):
@@ -86,7 +74,11 @@ def factorise(
 def _project(rows: Sequence[Row], node: FNode, position: dict[str, int]) -> list[Row]:
     """Distinct rows projected onto the attributes of ``node``'s subtree."""
     attrs = sorted(node.subtree_atomic_attributes(), key=position.__getitem__)
-    cols = [position[a] for a in attrs]
+    return _distinct(rows, [position[a] for a in attrs])
+
+
+def _distinct(rows: Sequence[Row], cols: Sequence[int]) -> list[Row]:
+    """Distinct projections of ``rows`` onto ``cols``, first-seen order."""
     seen = set()
     out = []
     for row in rows:
@@ -98,11 +90,8 @@ def _project(rows: Sequence[Row], node: FNode, position: dict[str, int]) -> list
 
 
 def _build_union(
-    node: FNode,
-    rows: Sequence[Row],
-    position: dict[str, int],
-    builder=None,
-) -> "list[FRNode] | CUnion":
+    node: FNode, rows: Sequence[Row], position: dict[str, int]
+) -> CUnion:
     """Build the union for ``node`` from rows over its subtree attrs.
 
     ``rows`` use a local schema: the subtree's attributes sorted by their
@@ -110,35 +99,13 @@ def _build_union(
     """
     attrs = sorted(node.subtree_atomic_attributes(), key=position.__getitem__)
     local = {attr: i for i, attr in enumerate(attrs)}
-    return (builder or _build_union_local)(node, list(rows), local)
+    return _build_union_local(node, list(rows), local)
 
 
 def _build_union_local(
     node: FNode, rows: list[Row], local: dict[str, int]
-) -> list[FRNode]:
-    _, groups, child_locals = _group_rows(node, rows, local)
-
-    union: list[FRNode] = []
-    for value in sorted(groups):
-        block = groups[value]
-        children = []
-        for child, (cols, child_local) in zip(node.children, child_locals):
-            seen = set()
-            child_rows = []
-            for row in block:
-                projected = tuple(row[c] for c in cols)
-                if projected not in seen:
-                    seen.add(projected)
-                    child_rows.append(projected)
-            children.append(_build_union_local(child, child_rows, child_local))
-        union.append(FRNode(value, children))
-    return union
-
-
-def _group_rows(
-    node: FNode, rows: list[Row], local: dict[str, int]
-) -> tuple[list[int], dict[object, list[Row]], list]:
-    """Shared grouping step of both layout builders."""
+) -> CUnion:
+    """One union: sorted class values, one sub-union per value and child."""
     class_cols = [local[a] for a in node.attributes]
     head = class_cols[0]
     groups: dict[object, list[Row]] = {}
@@ -163,14 +130,7 @@ def _group_rows(
                 {attr: i for i, attr in enumerate(child_attrs)},
             )
         )
-    return class_cols, groups, child_locals
 
-
-def _build_cunion_local(
-    node: FNode, rows: list[Row], local: dict[str, int]
-) -> CUnion:
-    """Columnar twin of :func:`_build_union_local`: appends to columns."""
-    _, groups, child_locals = _group_rows(node, rows, local)
     values = sorted(groups)
     columns: tuple[list, ...] = tuple([] for _ in node.children)
     for value in values:
@@ -178,14 +138,9 @@ def _build_cunion_local(
         for (cols, child_local), child, out_col in zip(
             child_locals, node.children, columns
         ):
-            seen = set()
-            child_rows = []
-            for row in block:
-                projected = tuple(row[c] for c in cols)
-                if projected not in seen:
-                    seen.add(projected)
-                    child_rows.append(projected)
-            out_col.append(_build_cunion_local(child, child_rows, child_local))
+            out_col.append(
+                _build_union_local(child, _distinct(block, cols), child_local)
+            )
     return CUnion(values, columns)
 
 
@@ -199,7 +154,6 @@ def factorise_path(
     relation: Relation,
     key: str = "",
     order: Sequence[str] | None = None,
-    layout: str = "legacy",
 ) -> Factorisation:
     """Factorise a relation over the path f-tree of its own schema.
 
@@ -208,4 +162,4 @@ def factorise_path(
     flat inputs.  ``order`` selects the root-to-leaf attribute order.
     """
     ftree = path_ftree(relation.schema, key or relation.name, order)
-    return factorise(relation, ftree, layout=layout)
+    return factorise(relation, ftree)

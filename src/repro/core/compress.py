@@ -8,22 +8,24 @@ list, or the pizzeria's shared topping lists), a single copy can serve
 both — turning the parse tree of the representation into a DAG, in the
 spirit of the d-representations later developed in this line of work.
 
-Because :class:`repro.core.frep.FRNode` fragments are immutable, the
-sharing is transparent to every consumer: enumeration, aggregation and
-the operators keep working unchanged on a compressed factorisation.
-This module provides
+Because unions are immutable, the sharing is transparent to every
+consumer: enumeration, aggregation and the operators keep working
+unchanged on a compressed factorisation.  Sharing happens at union
+granularity — a union's value array and child columns are one unit —
+so the DAG size counts each structurally distinct union once.  This
+module provides
 
 - :func:`hash_cons` — rebuild a factorisation with maximal sharing;
-- :func:`dag_size` — the number of *distinct* singletons, i.e. the size
-  of the DAG representation (``Factorisation.size`` keeps counting the
-  tree size);
+- :func:`dag_size` — the number of singletons when every structurally
+  distinct union is stored once, i.e. the size of the DAG
+  representation (``Factorisation.size`` keeps counting the tree size);
 - :func:`sharing_report` — tree-vs-DAG size accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from repro.core.frep import Factorisation, FRNode
+from repro.core.frep import CUnion, Factorisation
 
 
 @dataclass(frozen=True)
@@ -42,85 +44,73 @@ class SharingReport:
         return self.tree_singletons / self.dag_singletons
 
 
+class _Interner:
+    """Numbers structurally distinct unions bottom-up.
+
+    A union's signature is its value tuple plus the numbers of its
+    child fragments, so signatures stay flat and hashing is linear in
+    the representation size.
+    """
+
+    def __init__(self) -> None:
+        self.numbers: dict[tuple, int] = {}
+        self.unions: list[CUnion] = []
+
+    def intern(self, union: CUnion) -> int:
+        columns = [[self.intern(sub) for sub in col] for col in union.children]
+        key = (tuple(union.values), tuple(map(tuple, columns)))
+        number = self.numbers.get(key)
+        if number is None:
+            number = self.numbers[key] = len(self.unions)
+            self.unions.append(
+                CUnion(
+                    list(union.values),
+                    tuple([self.unions[i] for i in col] for col in columns),
+                )
+            )
+        return number
+
+
 def hash_cons(fact: Factorisation) -> Factorisation:
-    """Maximal sharing: structurally equal fragments become one object.
+    """Maximal sharing: structurally equal unions become one object.
 
     Runs bottom-up with memoisation on a structural signature; the
     result represents the same relation over the same f-tree, but equal
-    subtrees are physically shared, so the in-memory footprint matches
+    fragments are physically shared, so the in-memory footprint matches
     :func:`dag_size` rather than ``size()``.
     """
-    entry_cache: dict[tuple, FRNode] = {}
-    union_cache: dict[tuple, list[FRNode]] = {}
-
-    def intern_union(union: list[FRNode]) -> tuple[tuple, list[FRNode]]:
-        signatures = []
-        interned_entries = []
-        for entry in union:
-            signature, interned = intern_entry(entry)
-            signatures.append(signature)
-            interned_entries.append(interned)
-        key = tuple(signatures)
-        cached = union_cache.get(key)
-        if cached is None:
-            cached = interned_entries
-            union_cache[key] = cached
-        return key, cached
-
-    def intern_entry(entry: FRNode) -> tuple[tuple, FRNode]:
-        child_keys = []
-        interned_children = []
-        for child in entry.children:
-            child_key, interned = intern_union(child)
-            child_keys.append(child_key)
-            interned_children.append(interned)
-        key = (entry.value, tuple(child_keys))
-        cached = entry_cache.get(key)
-        if cached is None:
-            cached = FRNode(entry.value, tuple(interned_children))
-            entry_cache[key] = cached
-        return key, cached
-
-    roots = [intern_union(union)[1] for union in fact.roots]
+    interner = _Interner()
+    roots = [interner.unions[interner.intern(union)] for union in fact.roots]
     return Factorisation(fact.ftree, roots)
 
 
 def dag_size(fact: Factorisation) -> int:
-    """Number of distinct singletons under maximal sharing.
+    """Number of singletons under maximal sharing.
 
-    Counts each structurally distinct fragment entry once — the size of
-    the DAG (decision-diagram-style) representation of the same data.
+    Counts the values of each structurally distinct union once — the
+    size of the DAG (decision-diagram-style) representation of the
+    same data.
     """
-    seen: set[tuple] = set()
-
-    def walk_union(union: list[FRNode]) -> tuple:
-        return tuple(walk_entry(entry) for entry in union)
-
-    def walk_entry(entry: FRNode) -> tuple:
-        key = (entry.value, tuple(walk_union(c) for c in entry.children))
-        seen.add(key)
-        return key
-
+    interner = _Interner()
     for union in fact.roots:
-        walk_union(union)
-    return len(seen)
+        interner.intern(union)
+    return sum(len(union.values) for union in interner.unions)
 
 
 def physical_singletons(fact: Factorisation) -> int:
-    """Singletons counted by object identity (measures actual sharing)."""
+    """Singletons counted per union object (measures actual sharing)."""
     seen: set[int] = set()
-
-    def walk(union: list[FRNode]) -> None:
-        for entry in union:
-            if id(entry) in seen:
-                continue
-            seen.add(id(entry))
-            for child in entry.children:
-                walk(child)
-
-    for union in fact.roots:
-        walk(union)
-    return len(seen)
+    total = 0
+    stack = list(fact.roots)
+    while stack:
+        union = stack.pop()
+        if id(union) in seen:
+            continue
+        seen.add(id(union))
+        total += len(union.values)
+        for col in union.children:
+            stack.extend(col)
+    return total
 
 
 def sharing_report(fact: Factorisation) -> SharingReport:

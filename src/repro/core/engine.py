@@ -45,7 +45,13 @@ from repro.core.enumerate import (
     supports_order,
 )
 from repro.core.fplan import ExecutionTrace, FPlan, SelectStep
-from repro.core.frep import Factorisation, FRNode, iter_entries
+from repro.core.frep import (
+    CUnion,
+    Factorisation,
+    empty_factorisation,
+    iter_entries,
+    map_cunion_at,
+)
 from repro.core.ftree import (
     AggregateAttribute,
     FNode,
@@ -259,12 +265,6 @@ class FDBEngine:
         ``"greedy"`` (Section 5.2), ``"exhaustive"`` (Section 5.1), or
         ``"cost"`` (data-driven search over ``repro.stats`` estimates,
         falling back to exhaustive when no statistics are available).
-    layout:
-        Physical representation of the factorisations the engine
-        operates on: ``"columnar"`` (struct-of-arrays unions, batch
-        kernels) or ``"legacy"`` (per-singleton node objects).
-        Registered views are converted on first use via their cached
-        layout twin; both layouts produce identical results.
     """
 
     name = "FDB"
@@ -273,19 +273,15 @@ class FDBEngine:
         self,
         output: str = "flat",
         optimizer: str = "cost",
-        layout: str = "columnar",
     ) -> None:
         if output not in ("flat", "factorised"):
             raise ValueError(f"unknown output mode {output!r}")
-        if layout not in ("legacy", "columnar"):
-            raise ValueError(f"unknown factorisation layout {layout!r}")
         if optimizer not in _OPTIMIZERS:
             raise ValueError(
                 f"unknown optimizer {optimizer!r} "
                 f"(expected one of {sorted(_OPTIMIZERS)})"
             )
         self.output = output
-        self.layout = layout
         self.optimizer_name = optimizer
         self.optimizer = _OPTIMIZERS[optimizer]()
 
@@ -538,11 +534,6 @@ class FDBEngine:
         for decision in decisions:
             if decision.registered is not None:
                 fact = decision.registered
-                fact = (
-                    fact.to_columnar()
-                    if self.layout == "columnar"
-                    else fact.to_legacy()
-                )
                 for old, new in decision.mapping.items():
                     fact = ops.rename(fact, old, new)
             else:
@@ -576,7 +567,6 @@ class FDBEngine:
                     relation,
                     key=decision.name,
                     order=list(decision.order),
-                    layout=self.layout,
                 )
             facts.append(fact)
 
@@ -1088,8 +1078,7 @@ def _comparison(condition) -> "Comparison":
 
 def _rename_tree(tree: FTree, old: str, new: str) -> FTree:
     """Tree-level attribute rename (via a zero-fragment factorisation)."""
-    empty = Factorisation(tree, [[] for _ in tree.roots])
-    return ops.rename(empty, old, new).ftree
+    return ops.rename(empty_factorisation(tree), old, new).ftree
 
 
 def _select_component(
@@ -1120,19 +1109,21 @@ def _select_component(
         def extract(value: tuple) -> Any:
             return value[index]
 
-    from repro.core.frep import map_union_at
-
     root_index, steps = fact.ftree.path_to(node_name)
 
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
+    def transform(_: FNode, union: CUnion) -> CUnion:
         # SQL NULL semantics: a None aggregate satisfies no condition.
-        return [
-            e
-            for e in union
-            if (value := extract(e.value)) is not None and condition.test(value)
+        keep = [
+            i
+            for i, components in enumerate(union.values)
+            if (value := extract(components)) is not None and condition.test(value)
         ]
+        return CUnion(
+            [union.values[i] for i in keep],
+            tuple([col[i] for i in keep] for col in union.children),
+        )
 
-    return map_union_at(fact, root_index, steps, transform, fact.ftree)
+    return map_cunion_at(fact, root_index, steps, transform, fact.ftree)
 
 
 def _with_effective_projection(query: Query, database: "Database") -> Query:
@@ -1159,7 +1150,7 @@ def _group_value_fragments(
 ) -> list:
     """One-entry fragments exposing fixed group values to the evaluators."""
     return [
-        (FNode((attr,)), [FRNode(assignment[attr], ())])
+        (FNode((attr,)), CUnion([assignment[attr]], ()))
         for attr in sorted(attributes)
     ]
 
@@ -1296,12 +1287,11 @@ def _collapse_partials(
     }
     assignment: dict[str, Any] = {}
 
-    def rebuild(node: FNode, union, pending) -> tuple[FNode, list[FRNode]]:
-        # ``union`` may be a legacy entry list or a columnar CUnion; the
-        # output is always a legacy union carrying the final aggregate.
+    def rebuild(node: FNode, union: CUnion, pending) -> tuple[FNode, CUnion]:
         group_children = [i for i, c in enumerate(node.children) if is_group(c)]
         other_children = [i for i, c in enumerate(node.children) if not is_group(c)]
-        new_union: list[FRNode] = []
+        new_values: list = []
+        new_col: list[CUnion] = []
         new_child_node: FNode | None = None
         for value, entry_children in iter_entries(union):
             for attr in node.attributes:
@@ -1321,7 +1311,8 @@ def _collapse_partials(
                 )
                 if not new_child_union:
                     continue
-                new_union.append(FRNode(value, (new_child_union,)))
+                new_values.append(value)
+                new_col.append(new_child_union)
             else:
                 items = entry_pending
                 if agg.forest_is_empty(items):
@@ -1335,9 +1326,8 @@ def _collapse_partials(
                     components = agg.evaluate_components(functions, items, stats)
                 else:
                     components = evaluator.components(functions, items)
-                new_union.append(
-                    FRNode(value, ([FRNode(components, ())],))
-                )
+                new_values.append(value)
+                new_col.append(CUnion([components], ()))
                 new_child_node = FNode(
                     AggregateAttribute(functions, frozenset(over), name),
                     (),
@@ -1355,7 +1345,7 @@ def _collapse_partials(
             (new_child_node,),
             node.keys | {fresh_key},
         )
-        return rebuilt, new_union
+        return rebuilt, CUnion(new_values, (new_col,))
 
     if not group_order:
         if agg.forest_is_empty(free_items):
@@ -1367,7 +1357,7 @@ def _collapse_partials(
         node = FNode(
             AggregateAttribute(functions, frozenset(over), name), (), {fresh_key}
         )
-        return Factorisation(FTree([node]), [[FRNode(value, ())]]), name
+        return Factorisation(FTree([node]), [CUnion([value], ())]), name
 
     root_node, root_union = path_roots[0]
     new_root, new_union = rebuild(root_node, root_union, free_items)

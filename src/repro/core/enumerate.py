@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Iterator, Sequence
 
-from repro.core.frep import CUnion, Factorisation, FRNode
+from repro.core.frep import CUnion, Factorisation
 from repro.core.ftree import FNode, FTree
 from repro.relational.sort import normalise_order
 
@@ -127,33 +127,24 @@ def restructure_for_order(ftree: FTree, order: Sequence) -> list[str]:
 # Tuple enumeration
 # ---------------------------------------------------------------------------
 def _iter_union_entries(
-    union, descending: bool
+    union: CUnion, descending: bool
 ) -> Iterator[tuple[Any, tuple]]:
-    """``(value, child_fragments)`` in either layout, forwards or back.
+    """``(value, child_fragments)`` per entry, forwards or back.
 
-    The layout shim keeping enumeration constant-delay over both the
-    legacy and columnar representations (descending directions iterate
-    the sorted arrays backwards, Section 4.1).
+    Descending directions iterate the sorted arrays backwards
+    (Section 4.1), so both directions stay constant-delay.
     """
-    if type(union) is CUnion:
-        values = union.values
-        cols = union.children
-        indices = (
-            range(len(values) - 1, -1, -1)
-            if descending
-            else range(len(values))
-        )
-        if not cols:
-            for i in indices:
-                yield values[i], ()
-        else:
-            for i in indices:
-                yield values[i], tuple(col[i] for col in cols)
+    values = union.values
+    cols = union.children
+    indices = (
+        range(len(values) - 1, -1, -1) if descending else range(len(values))
+    )
+    if not cols:
+        for i in indices:
+            yield values[i], ()
     else:
-        entries = reversed(union) if descending else union
-        for entry in entries:
-            yield entry.value, entry.children
-
+        for i in indices:
+            yield values[i], tuple(col[i] for col in cols)
 
 
 def iter_tuples(
@@ -183,7 +174,7 @@ def iter_tuples(
         return [positions[name] for name in node.all_names]
 
     def generate(
-        items: list[tuple[FNode, list[FRNode]]]
+        items: list[tuple[FNode, CUnion]]
     ) -> Iterator[tuple]:
         if not items:
             yield tuple(row)
@@ -208,7 +199,7 @@ def iter_tuples(
 
 
 def _pick_next(
-    items: list[tuple[FNode, list[FRNode]]], priority: dict[str, int]
+    items: list[tuple[FNode, CUnion]], priority: dict[str, int]
 ) -> int:
     """Next fragment to expand: pending order attributes come first."""
     best = None
@@ -229,7 +220,7 @@ def iter_group_contexts(
     fact: Factorisation,
     group: Sequence[str],
     order: Sequence = (),
-) -> Iterator[tuple[dict[str, Any], list[tuple[FNode, list[FRNode]]]]]:
+) -> Iterator[tuple[dict[str, Any], list[tuple[FNode, CUnion]]]]:
     """Enumerate assignments to the group attributes (Theorem 1).
 
     Yields ``(assignment, leftovers)`` pairs where ``assignment`` maps
@@ -266,9 +257,9 @@ def iter_group_contexts(
         return bool(set(node.all_names) & group_set)
 
     def generate(
-        items: list[tuple[FNode, list[FRNode]]],
-        leftovers: list[tuple[FNode, list[FRNode]]],
-    ) -> Iterator[tuple[dict[str, Any], list[tuple[FNode, list[FRNode]]]]]:
+        items: list[tuple[FNode, CUnion]],
+        leftovers: list[tuple[FNode, CUnion]],
+    ) -> Iterator[tuple[dict[str, Any], list[tuple[FNode, CUnion]]]]:
         pending = [
             (index, node) for index, (node, _) in enumerate(items)
         ]

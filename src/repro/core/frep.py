@@ -13,23 +13,15 @@ Two kinds of singleton values occur:
 - aggregate nodes hold *tuples* of component values aligned with their
   :class:`repro.core.ftree.AggregateAttribute.functions`.
 
-The container :class:`Factorisation` pairs an f-tree with fragments per
+Each union is a :class:`CUnion`: one contiguous, strictly ascending
+value array plus one column of sub-unions per f-tree child, aligned
+with the values (struct-of-arrays).  Operators and aggregate evaluators
+make one Python-level pass per union instead of one per value.
+
+The container :class:`Factorisation` pairs an f-tree with one union per
 root and provides size accounting, flattening, and validation.  The
 structures are treated as immutable: operators build new spines and
 share unchanged fragments, so registered views can serve many queries.
-
-Two physical layouts represent the same logical structure:
-
-- the *legacy* layout boxes every singleton in an :class:`FRNode`;
-- the *columnar* layout (:class:`CUnion` / :class:`ColumnarFactorisation`)
-  stores each union as one contiguous value array plus per-child columns
-  of sub-unions aligned with it (struct-of-arrays), so batch kernels in
-  :mod:`repro.core.kernels` run one Python-level pass per union instead
-  of one per value.
-
-``iter_entries`` is the layout-generic access shim for cold paths;
-``to_columnar()``/``to_legacy()`` convert between the layouts (cached
-per factorisation, so repeated conversion is free).
 """
 
 from __future__ import annotations
@@ -45,309 +37,8 @@ class FactorisationError(ValueError):
     """Raised for malformed factorisations (misalignment, bad order)."""
 
 
-class FRNode:
-    """One singleton value plus its child fragments.
-
-    ``children`` is a tuple of unions (lists of :class:`FRNode`), aligned
-    positionally with the children of the owning f-tree node.
-    """
-
-    __slots__ = ("value", "children")
-
-    def __init__(self, value: Any, children: Sequence[list["FRNode"]] = ()) -> None:
-        self.value = value
-        self.children: tuple[list[FRNode], ...] = tuple(children)
-
-    def __repr__(self) -> str:
-        return f"FRNode({self.value!r}, children={len(self.children)})"
-
-
-Union = list  # a union of FRNode entries, sorted ascending by value
-Forest = tuple  # one Union per f-tree root / per child
-
-
-class Factorisation:
-    """A factorised relation: an f-tree plus one union per root."""
-
-    __slots__ = ("ftree", "roots", "_twin")
-
-    layout = "legacy"
-
-    def __init__(self, ftree: FTree, roots: Sequence[list[FRNode]]) -> None:
-        if len(ftree.roots) != len(roots):
-            raise FactorisationError(
-                f"{len(roots)} root fragments for {len(ftree.roots)} f-tree roots"
-            )
-        self.ftree = ftree
-        self.roots: tuple[list[FRNode], ...] = tuple(roots)
-        self._twin: "Factorisation | None" = None
-
-    def __reduce__(self):
-        # Explicit so the cached layout twin never crosses pickle
-        # boundaries (shard workers receive just the structure).
-        return (self.__class__, (self.ftree, list(self.roots)))
-
-    # ------------------------------------------------------------------
-    # Layout conversion (cached: converting twice is free)
-    # ------------------------------------------------------------------
-    def to_legacy(self) -> "Factorisation":
-        return self
-
-    def to_columnar(self) -> "ColumnarFactorisation":
-        twin = self._twin
-        if twin is None:
-            memo: dict[int, CUnion] = {}
-            twin = ColumnarFactorisation(
-                self.ftree,
-                [
-                    _union_to_columnar(node, union, memo)
-                    for node, union in zip(self.ftree.roots, self.roots)
-                ],
-            )
-            twin._twin = self
-            self._twin = twin
-        return twin  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Schema
-    # ------------------------------------------------------------------
-    def schema(self) -> list[str]:
-        """Attribute names of the represented relation, in pre-order.
-
-        Aggregate nodes contribute their (single) name; their tuple
-        values are kept as one attribute until the engine finalises them.
-        """
-        return self.ftree.attribute_names()
-
-    # ------------------------------------------------------------------
-    # Size accounting (the paper's succinctness measure: #singletons)
-    # ------------------------------------------------------------------
-    def size(self) -> int:
-        """Number of singletons in the representation (shared fragments
-        count once per occurrence)."""
-        total = 0
-        stack = list(self.roots)
-        while stack:
-            union = stack.pop()
-            total += len(union)
-            for entry in union:
-                stack.extend(entry.children)
-        return total
-
-    def size_info(self) -> tuple[int, int]:
-        """``(singletons, resident_bytes)`` in one walk.
-
-        ``resident_bytes`` estimates the representation's *container*
-        structure (unions, entries, child tables) arithmetically from
-        container lengths and the fixed per-object sizes — pointer-slot
-        counting rather than ``sys.getsizeof`` per container, so the
-        walk stays cheap enough for per-step traces.  The singleton
-        value objects themselves are excluded because they are shared
-        identically between layouts.  Fragments shared by reference are
-        counted once per occurrence, matching ``size()``.
-        """
-        singles = 0
-        nbytes = 0
-        stack = list(self.roots)
-        while stack:
-            union = stack.pop()
-            nbytes += _LIST_BYTES + _PTR * len(union)
-            for entry in union:
-                singles += 1
-                children = entry.children
-                nbytes += _FRNODE_BYTES + _TUPLE_BYTES + _PTR * len(children)
-                stack.extend(children)
-        return singles, nbytes
-
-    def byte_size(self) -> int:
-        """Resident bytes of the container structure (see size_info)."""
-        return self.size_info()[1]
-
-    def tuple_count(self) -> int:
-        """Cardinality of the represented relation |⟦E⟧|.
-
-        Unlike :meth:`size`, this multiplies across products, so it can
-        be exponentially larger than the representation.  Aggregate
-        singletons count as one tuple each (their relational reading is
-        used only by the aggregation algorithms).
-        """
-
-        def count_union(union: list[FRNode]) -> int:
-            return sum(count_entry(entry) for entry in union)
-
-        def count_entry(entry: FRNode) -> int:
-            total = 1
-            for child in entry.children:
-                total *= count_union(child)
-            return total
-
-        product = 1
-        for union in self.roots:
-            product *= count_union(union)
-        return product
-
-    def is_empty(self) -> bool:
-        """Whether the represented relation is empty."""
-        return any(not union for union in self.roots) if self.roots else False
-
-    # ------------------------------------------------------------------
-    # Flattening
-    # ------------------------------------------------------------------
-    def iter_tuples(self) -> Iterator[tuple]:
-        """Enumerate the represented tuples (no particular order).
-
-        The delay between consecutive tuples is constant in data size:
-        the iterator hierarchy mirrors the f-tree (Section 4.1).
-        """
-        nodes = self.ftree.roots
-
-        def iter_forest(
-            items: Sequence[tuple[FNode, list[FRNode]]]
-        ) -> Iterator[tuple]:
-            if not items:
-                yield ()
-                return
-            (node, union), rest = items[0], items[1:]
-            for entry in union:
-                prefix_values = _entry_values(node, entry)
-                children = list(zip(node.children, entry.children))
-                for mid in iter_forest(children):
-                    for suffix in iter_forest(rest):
-                        yield prefix_values + mid + suffix
-
-        yield from iter_forest(list(zip(nodes, self.roots)))
-
-    def to_relation(self, name: str = "") -> Relation:
-        """Materialise the represented relation (flat output)."""
-        return Relation(self.schema(), list(self.iter_tuples()), name=name or "⟦E⟧")
-
-    # ------------------------------------------------------------------
-    # Validation (used by tests and debug paths)
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check structural alignment and the sortedness invariant."""
-
-        def check_union(node: FNode, union: list[FRNode]) -> None:
-            previous = None
-            for entry in union:
-                if previous is not None and not previous < entry.value:
-                    raise FactorisationError(
-                        f"union of node {node.label()!r} is not strictly "
-                        f"ascending: {previous!r} then {entry.value!r}"
-                    )
-                previous = entry.value
-                if len(entry.children) != len(node.children):
-                    raise FactorisationError(
-                        f"entry {entry.value!r} of node {node.label()!r} has "
-                        f"{len(entry.children)} child fragments for "
-                        f"{len(node.children)} f-tree children"
-                    )
-                if node.is_aggregate and not isinstance(entry.value, tuple):
-                    raise FactorisationError(
-                        f"aggregate node {node.label()!r} holds non-tuple "
-                        f"value {entry.value!r}"
-                    )
-                for child_node, child_union in zip(node.children, entry.children):
-                    check_union(child_node, child_union)
-
-        for node, union in zip(self.ftree.roots, self.roots):
-            check_union(node, union)
-
-    # ------------------------------------------------------------------
-    # Display
-    # ------------------------------------------------------------------
-    def pretty(self, limit: int = 40) -> str:
-        """Nested rendering like the paper's ⟨value⟩ × (...) ∪ ... form."""
-        budget = [limit]
-
-        def render_union(node: FNode, union: list[FRNode], indent: int) -> list[str]:
-            lines: list[str] = []
-            for entry in union:
-                if budget[0] <= 0:
-                    lines.append("  " * indent + "...")
-                    break
-                budget[0] -= 1
-                lines.append("  " * indent + f"⟨{node.label()}:{entry.value!r}⟩")
-                for child_node, child_union in zip(node.children, entry.children):
-                    lines.extend(render_union(child_node, child_union, indent + 1))
-            return lines
-
-        lines: list[str] = []
-        for node, union in zip(self.ftree.roots, self.roots):
-            lines.extend(render_union(node, union, 0))
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"Factorisation(schema={self.schema()!r}, size={self.size()}, "
-            f"tuples={self.tuple_count()})"
-        )
-
-
-def _entry_values(node: FNode, entry: FRNode) -> tuple:
-    """The output values one entry contributes (class attrs repeated)."""
-    if node.is_aggregate:
-        return (entry.value,)
-    return (entry.value,) * len(node.attributes)
-
-
-def empty_like(ftree: FTree) -> Factorisation:
-    """The empty relation over ``ftree`` (∅)."""
-    return Factorisation(ftree, [[] for _ in ftree.roots])
-
-
-def singleton_union(value: Any, children: Sequence[list[FRNode]] = ()) -> list[FRNode]:
-    """A one-entry union (convenience for tests and operators)."""
-    return [FRNode(value, children)]
-
-
-def map_union_at(
-    fact: Factorisation,
-    root_index: int,
-    steps: Sequence[int],
-    transform: Callable[[FNode, list[FRNode]], list[FRNode]],
-    new_ftree: FTree,
-) -> Factorisation:
-    """Rebuild a factorisation with ``transform`` applied at one position.
-
-    ``steps`` is the child-index path from the root (as produced by
-    :meth:`repro.core.ftree.FTree.path_to`); the transform runs once per
-    fragment instance at that position (once per ancestor context).
-    Entries whose transformed union becomes empty are pruned, and the
-    pruning propagates upwards (an empty union kills its parent entry,
-    matching ∅ absorption through products).
-    """
-    target_node = fact.ftree.roots[root_index]
-    for step in steps:
-        target_node = target_node.children[step]
-
-    def rebuild(node: FNode, union: list[FRNode], remaining: Sequence[int]) -> list[FRNode]:
-        if not remaining:
-            return transform(node, union)
-        step, rest = remaining[0], remaining[1:]
-        out: list[FRNode] = []
-        for entry in union:
-            new_child = rebuild(node.children[step], entry.children[step], rest)
-            if not new_child:
-                continue  # empty fragment: the entry represents ∅, prune it
-            children = (
-                entry.children[:step] + (new_child,) + entry.children[step + 1 :]
-            )
-            out.append(FRNode(entry.value, children))
-        return out
-
-    new_roots = list(fact.roots)
-    new_roots[root_index] = rebuild(
-        fact.ftree.roots[root_index], fact.roots[root_index], list(steps)
-    )
-    return Factorisation(new_ftree, new_roots)
-
-
-# ---------------------------------------------------------------------------
-# Columnar layout (struct-of-arrays)
-# ---------------------------------------------------------------------------
 class CUnion:
-    """One union in columnar layout.
+    """One union: sorted singleton values plus aligned child columns.
 
     ``values`` is the flat, strictly-ascending array of singleton values;
     ``children`` is one column per f-tree child, each a list of
@@ -355,10 +46,9 @@ class CUnion:
     child-``c`` fragment of entry ``i``).  An empty union still carries
     the correct number of (empty) child columns so arity survives edits.
 
-    The class deliberately does **not** implement ``__iter__`` or
-    ``__getitem__``: code that has not been ported to batch access fails
-    loudly instead of silently mixing layouts.  Use
-    :func:`iter_entries` for layout-generic traversal.
+    The class deliberately does not implement ``__iter__`` or
+    ``__getitem__``: hot paths read the columns directly, and
+    :func:`iter_entries` serves cold entry-at-a-time traversal.
     """
 
     __slots__ = ("values", "children")
@@ -382,13 +72,12 @@ class CUnion:
         return f"CUnion({len(self.values)} values, {len(self.children)} cols)"
 
 
-# Fixed per-container sizes used by the arithmetic ``size_info`` walks:
+# Fixed per-container sizes used by the arithmetic ``size_info`` walk:
 # variable-length containers contribute one pointer slot per element on
 # top of their empty-container header.
 _PTR = 8
 _LIST_BYTES = getsizeof([])
 _TUPLE_BYTES = getsizeof(())
-_FRNODE_BYTES = getsizeof(FRNode(0, ()))
 _CUNION_BYTES = getsizeof(CUnion([], ()))
 
 
@@ -398,101 +87,37 @@ def empty_cunion(arity: int) -> CUnion:
 
 
 def singleton_cunion(value: Any, children: Sequence[CUnion] = ()) -> CUnion:
-    """A one-entry columnar union."""
+    """A one-entry union."""
     return CUnion([value], tuple([child] for child in children))
 
 
-def iter_entries(union) -> Iterator[tuple[Any, tuple]]:
-    """Yield ``(value, child_fragments)`` for either layout.
+def iter_entries(union: CUnion) -> Iterator[tuple[Any, tuple]]:
+    """Yield ``(value, child_fragments)`` per entry of ``union``.
 
-    This is the compatibility surface for cold paths (enumeration,
-    expression machinery, IVM walks); hot kernels read the columns
-    directly instead.
+    The entry-at-a-time view for cold paths (expression machinery, IVM
+    walks); hot paths read the columns directly instead.
     """
-    if type(union) is CUnion:
-        values = union.values
-        cols = union.children
-        if not cols:
-            for value in values:
-                yield value, ()
-        else:
-            for i, value in enumerate(values):
-                yield value, tuple(col[i] for col in cols)
+    values = union.values
+    cols = union.children
+    if not cols:
+        for value in values:
+            yield value, ()
     else:
-        for entry in union:
-            yield entry.value, entry.children
-
-
-def union_values(union) -> list:
-    """The value array of a union in either layout (may alias storage)."""
-    if type(union) is CUnion:
-        return union.values
-    return [entry.value for entry in union]
+        for i, value in enumerate(values):
+            yield value, tuple(col[i] for col in cols)
 
 
 def _value_tuple(node: FNode, value: Any) -> tuple:
-    """Like ``_entry_values`` but from a bare value."""
+    """The output values one entry contributes (class attrs repeated)."""
     if node.is_aggregate:
         return (value,)
     return (value,) * len(node.attributes)
 
 
-def _union_to_columnar(
-    node: FNode, union: list[FRNode], memo: dict[int, CUnion]
-) -> CUnion:
-    cached = memo.get(id(union))
-    if cached is not None:
-        return cached
-    children = tuple(
-        [
-            _union_to_columnar(child, entry.children[c], memo)
-            for entry in union
-        ]
-        for c, child in enumerate(node.children)
-    )
-    out = CUnion([entry.value for entry in union], children)
-    memo[id(union)] = out
-    return out
+class Factorisation:
+    """A factorised relation: an f-tree plus one :class:`CUnion` per root."""
 
-
-def _union_to_legacy(
-    node: FNode, union: CUnion, memo: dict[int, list]
-) -> list[FRNode]:
-    cached = memo.get(id(union))
-    if cached is not None:
-        return cached
-    cols = union.children
-    if not cols:
-        out = [FRNode(value, ()) for value in union.values]
-    else:
-        child_nodes = node.children
-        span = range(len(cols))
-        out = [
-            FRNode(
-                value,
-                tuple(
-                    _union_to_legacy(child_nodes[c], cols[c][i], memo)
-                    for c in span
-                ),
-            )
-            for i, value in enumerate(union.values)
-        ]
-    memo[id(union)] = out
-    return out
-
-
-class ColumnarFactorisation(Factorisation):
-    """A factorised relation in columnar (struct-of-arrays) layout.
-
-    ``roots`` holds one :class:`CUnion` per f-tree root.  The logical
-    reading, invariants, and API match :class:`Factorisation`; only the
-    physical layout differs, and the batch kernels in
-    :mod:`repro.core.kernels` dispatch on this type.
-    """
-
-    __slots__ = ()
-
-    layout = "columnar"
+    __slots__ = ("ftree", "roots")
 
     def __init__(self, ftree: FTree, roots: Sequence[CUnion]) -> None:
         if len(ftree.roots) != len(roots):
@@ -500,34 +125,30 @@ class ColumnarFactorisation(Factorisation):
                 f"{len(roots)} root fragments for {len(ftree.roots)} f-tree roots"
             )
         self.ftree = ftree
-        self.roots = tuple(roots)  # type: ignore[assignment]
-        self._twin = None
+        self.roots: tuple[CUnion, ...] = tuple(roots)
 
-    # ------------------------------------------------------------------
-    # Layout conversion
-    # ------------------------------------------------------------------
-    def to_columnar(self) -> "ColumnarFactorisation":
+    def to_columnar(self) -> "Factorisation":
+        # Kept only so perfbench's layer tracer, which patches this name,
+        # still resolves; nothing in the program calls it.
         return self
 
-    def to_legacy(self) -> Factorisation:
-        twin = self._twin
-        if twin is None:
-            memo: dict[int, list] = {}
-            twin = Factorisation(
-                self.ftree,
-                [
-                    _union_to_legacy(node, union, memo)
-                    for node, union in zip(self.ftree.roots, self.roots)
-                ],
-            )
-            twin._twin = self
-            self._twin = twin
-        return twin
+    # ------------------------------------------------------------------
+    # Schema
+    # ------------------------------------------------------------------
+    def schema(self) -> list[str]:
+        """Attribute names of the represented relation, in pre-order.
+
+        Aggregate nodes contribute their (single) name; their tuple
+        values are kept as one attribute until the engine finalises them.
+        """
+        return self.ftree.attribute_names()
 
     # ------------------------------------------------------------------
-    # Size accounting
+    # Size accounting (the paper's succinctness measure: #singletons)
     # ------------------------------------------------------------------
     def size(self) -> int:
+        """Number of singletons in the representation (shared fragments
+        count once per occurrence)."""
         total = 0
         stack = list(self.roots)
         while stack:
@@ -538,6 +159,17 @@ class ColumnarFactorisation(Factorisation):
         return total
 
     def size_info(self) -> tuple[int, int]:
+        """``(singletons, resident_bytes)`` in one walk.
+
+        ``resident_bytes`` estimates the representation's *container*
+        structure (unions, value arrays, child columns) arithmetically
+        from container lengths and the fixed per-object sizes —
+        pointer-slot counting rather than ``sys.getsizeof`` per
+        container, so the walk stays cheap enough for per-step traces.
+        The singleton value objects themselves are excluded.  Fragments
+        shared by reference are counted once per occurrence, matching
+        ``size()``.
+        """
         singles = 0
         nbytes = 0
         stack = list(self.roots)
@@ -558,7 +190,19 @@ class ColumnarFactorisation(Factorisation):
                 stack.extend(col)
         return singles, nbytes
 
+    def byte_size(self) -> int:
+        """Resident bytes of the container structure (see size_info)."""
+        return self.size_info()[1]
+
     def tuple_count(self) -> int:
+        """Cardinality of the represented relation |⟦E⟧|.
+
+        Unlike :meth:`size`, this multiplies across products, so it can
+        be exponentially larger than the representation.  Aggregate
+        singletons count as one tuple each (their relational reading is
+        used only by the aggregation algorithms).
+        """
+
         def count_union(union: CUnion) -> int:
             cols = union.children
             if not cols:
@@ -577,6 +221,7 @@ class ColumnarFactorisation(Factorisation):
         return product
 
     def is_empty(self) -> bool:
+        """Whether the represented relation is empty."""
         return (
             any(not union.values for union in self.roots)
             if self.roots
@@ -587,6 +232,11 @@ class ColumnarFactorisation(Factorisation):
     # Flattening
     # ------------------------------------------------------------------
     def iter_tuples(self) -> Iterator[tuple]:
+        """Enumerate the represented tuples (no particular order).
+
+        The delay between consecutive tuples is constant in data size:
+        the iterator hierarchy mirrors the f-tree (Section 4.1).
+        """
         nodes = self.ftree.roots
 
         def iter_forest(
@@ -608,15 +258,21 @@ class ColumnarFactorisation(Factorisation):
 
         yield from iter_forest(list(zip(nodes, self.roots)))
 
+    def to_relation(self, name: str = "") -> Relation:
+        """Materialise the represented relation (flat output)."""
+        return Relation(self.schema(), list(self.iter_tuples()), name=name or "⟦E⟧")
+
     # ------------------------------------------------------------------
-    # Validation
+    # Validation (used by tests and debug paths)
     # ------------------------------------------------------------------
     def validate(self) -> None:
+        """Check structural alignment and the sortedness invariant."""
+
         def check_union(node: FNode, union: CUnion) -> None:
             if type(union) is not CUnion:
                 raise FactorisationError(
-                    f"node {node.label()!r} of a columnar factorisation "
-                    f"holds a non-columnar union {union!r}"
+                    f"node {node.label()!r} holds a non-union fragment "
+                    f"{union!r}"
                 )
             if len(union.children) != len(node.children):
                 raise FactorisationError(
@@ -653,6 +309,7 @@ class ColumnarFactorisation(Factorisation):
     # Display
     # ------------------------------------------------------------------
     def pretty(self, limit: int = 40) -> str:
+        """Nested rendering like the paper's ⟨value⟩ × (...) ∪ ... form."""
         budget = [limit]
 
         def render_union(node: FNode, union: CUnion, indent: int) -> list[str]:
@@ -678,35 +335,42 @@ class ColumnarFactorisation(Factorisation):
 
     def __repr__(self) -> str:
         return (
-            f"ColumnarFactorisation(schema={self.schema()!r}, "
-            f"size={self.size()}, tuples={self.tuple_count()})"
+            f"Factorisation(schema={self.schema()!r}, size={self.size()}, "
+            f"tuples={self.tuple_count()})"
         )
 
 
-def empty_columnar_like(ftree: FTree) -> ColumnarFactorisation:
-    """The empty relation over ``ftree`` in columnar layout."""
-    return ColumnarFactorisation(
+# Kept only so perfbench's layer tracer, which patches this name, still
+# resolves; it is the same class.
+ColumnarFactorisation = Factorisation
+
+
+def empty_factorisation(ftree: FTree) -> Factorisation:
+    """The empty relation over ``ftree`` (∅)."""
+    return Factorisation(
         ftree, [empty_cunion(len(node.children)) for node in ftree.roots]
     )
 
 
 def map_cunion_at(
-    fact: ColumnarFactorisation,
+    fact: Factorisation,
     root_index: int,
     steps: Sequence[int],
     transform: Callable[[FNode, CUnion], CUnion],
     new_ftree: FTree,
-) -> ColumnarFactorisation:
-    """Columnar twin of :func:`map_union_at` (same pruning semantics).
+) -> Factorisation:
+    """Rebuild a factorisation with ``transform`` applied at one position.
 
-    The transform must return a :class:`CUnion` with the child-column
-    arity of the (possibly reshaped) target node; entries whose
-    transformed fragment becomes empty are filtered out of the parent's
-    value array *and every sibling column* so alignment is preserved.
+    ``steps`` is the child-index path from the root (as produced by
+    :meth:`repro.core.ftree.FTree.path_to`); the transform runs once per
+    fragment instance at that position (once per ancestor context) and
+    must return a :class:`CUnion` with the child-column arity of the
+    (possibly reshaped) target node.  Entries whose transformed fragment
+    becomes empty are filtered out of the parent's value array *and
+    every sibling column*, and the pruning propagates upwards (an empty
+    union kills its parent entry, matching ∅ absorption through
+    products).
     """
-    target_node = fact.ftree.roots[root_index]
-    for step in steps:
-        target_node = target_node.children[step]
 
     def rebuild(node: FNode, union: CUnion, remaining: Sequence[int]) -> CUnion:
         if not remaining:
@@ -737,4 +401,4 @@ def map_cunion_at(
     new_roots[root_index] = rebuild(
         fact.ftree.roots[root_index], fact.roots[root_index], list(steps)
     )
-    return ColumnarFactorisation(new_ftree, new_roots)
+    return Factorisation(new_ftree, new_roots)

@@ -3,7 +3,8 @@
 Materialised views live across sessions in the paper's read-optimised
 scenario, so factorisations need a storage format.  This module writes
 a compact JSON document: the f-tree (labels, keys, aggregate metadata)
-plus the fragment structure as nested lists.  Loading reconstructs an
+plus the fragment structure as nested lists: each union is a list of
+``[value, [child unions...]]`` entries.  Loading reconstructs an
 identical :class:`repro.core.frep.Factorisation` (round-trip tested).
 
 The format is versioned to allow evolution; unknown versions are
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, IO
 
-from repro.core.frep import Factorisation, FRNode
+from repro.core.frep import CUnion, Factorisation, iter_entries
 from repro.core.ftree import AggregateAttribute, FNode, FTree
 
 FORMAT_VERSION = 1
@@ -71,10 +72,10 @@ def ftree_from_dict(document: dict) -> FTree:
 # ---------------------------------------------------------------------------
 # factorisations
 # ---------------------------------------------------------------------------
-def _encode_union(union: list[FRNode]) -> list:
+def _encode_union(union: CUnion) -> list:
     return [
-        [_encode_value(entry.value), [_encode_union(c) for c in entry.children]]
-        for entry in union
+        [_encode_value(value), [_encode_union(c) for c in children]]
+        for value, children in iter_entries(union)
     ]
 
 
@@ -90,14 +91,18 @@ def _decode_value(value: Any) -> Any:
     return value
 
 
-def _decode_union(entries: list) -> list[FRNode]:
-    return [
-        FRNode(
-            _decode_value(value),
-            tuple(_decode_union(child) for child in children),
-        )
-        for value, children in entries
-    ]
+def _decode_union(node: FNode, entries: list) -> CUnion:
+    """One union; ``node`` gives the arity an empty union still carries."""
+    columns: tuple[list, ...] = tuple([] for _ in node.children)
+    for _, children in entries:
+        if len(children) != len(columns):
+            raise SerialisationError(
+                f"entry of node {node.label()!r} has {len(children)} child "
+                f"fragments for {len(columns)} f-tree children"
+            )
+        for child, column, sub in zip(node.children, columns, children):
+            column.append(_decode_union(child, sub))
+    return CUnion([_decode_value(value) for value, _ in entries], columns)
 
 
 def factorisation_to_dict(fact: Factorisation) -> dict:
@@ -115,8 +120,15 @@ def factorisation_from_dict(document: dict) -> Factorisation:
             f"unsupported factorisation format version {version!r}"
         )
     ftree = ftree_from_dict(document["ftree"])
-    roots = [_decode_union(union) for union in document["roots"]]
-    fact = Factorisation(ftree, roots)
+    unions = document["roots"]
+    if len(unions) != len(ftree.roots):
+        raise SerialisationError(
+            f"{len(unions)} root fragments for {len(ftree.roots)} f-tree roots"
+        )
+    fact = Factorisation(
+        ftree,
+        [_decode_union(node, union) for node, union in zip(ftree.roots, unions)],
+    )
     fact.validate()
     return fact
 

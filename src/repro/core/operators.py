@@ -5,7 +5,10 @@ Every operator is implemented in two layers:
 - a pure *tree-level* transform (``*_tree``) producing the output f-tree,
   used by the optimiser to explore plans without touching data; and
 - the full transform on a :class:`repro.core.frep.Factorisation`,
-  rebuilding only the affected spine of the representation.
+  rebuilding only the affected spine of the representation.  The data
+  transforms are batch kernels: they read each :class:`CUnion`'s value
+  array and child columns whole, one Python-level pass per union
+  rather than one per value.
 
 Operators preserve the two global invariants: values within each union
 are sorted ascending, and no entry has an empty child union (∅ absorbs
@@ -23,44 +26,74 @@ Implemented operators:
 ``product``           cross product: concatenate forests
 ``apply_aggregation`` the new γ_F(U) operator of Section 3
 ====================  =====================================================
+
+Kernel wall time is recorded in the ``repro_kernel_seconds`` histogram
+(one label per operator) so the cost is observable in server mode.  An
+optional numpy fast path (``REPRO_NUMPY=1``) accelerates sorted
+intersection of large numeric value arrays; it is off by default and
+every operator is complete without it.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
+from functools import wraps
 from typing import Any, Sequence
 
 from repro.core import aggregates as agg
-from repro.core.frep import (
-    ColumnarFactorisation,
-    Factorisation,
-    FRNode,
-    map_union_at,
-)
+from repro.core.frep import CUnion, Factorisation, empty_cunion, map_cunion_at
 from repro.core.ftree import (
     AggregateAttribute,
     FNode,
     FTree,
-    FTreeError,
     fresh_aggregate_name,
 )
+from repro.expr import Expr
+from repro.obs import clock
+from repro.obs.metrics import metrics
+from repro.obs.state import STATE
 from repro.query import Comparison
 
 #: When True, swap verifies that fragments independent of the swapped
 #: node really are identical across contexts (costly; used in tests).
 STRICT_SWAP_CHECKS = False
 
-_kernels_module = None
+_NUMPY = None
+if os.environ.get("REPRO_NUMPY", "").strip().lower() in {"1", "true", "yes", "on"}:
+    try:  # pragma: no cover - environment-dependent
+        import numpy as _NUMPY  # type: ignore[no-redef]
+    except ImportError:  # pragma: no cover
+        _NUMPY = None
+
+#: Minimum union length before the numpy intersection path engages
+#: (below this the conversion overhead dominates).
+_NUMPY_MIN_LENGTH = 64
+
+_KERNEL_SECONDS = metrics().histogram(
+    "repro_kernel_seconds",
+    "Wall time of one columnar kernel invocation",
+    ("kernel",),
+)
 
 
-def _kernels():
-    """The columnar batch kernels, imported lazily (they import us)."""
-    global _kernels_module
-    if _kernels_module is None:
-        from repro.core import kernels
+def _timed(name: str):
+    child = _KERNEL_SECONDS.labels(name)
 
-        _kernels_module = kernels
-    return _kernels_module
+    def decorate(fn):
+        @wraps(fn)
+        def wrapper(*args, **kwargs):
+            if not STATE.enabled:
+                return fn(*args, **kwargs)
+            started = clock.now()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                child.observe(clock.now() - started)
+
+        return wrapper
+
+    return decorate
 
 
 _dep_counter = [0]
@@ -114,14 +147,13 @@ def _swapped_nodes(
     return new_b, tb_idx, tab_idx
 
 
+@_timed("swap")
 def swap(fact: Factorisation, child_name: str) -> Factorisation:
     """χ_{A,B} on a factorisation: regroup by B before A (Section 4.2).
 
     Linear in the size of the affected fragments: each (a, b) pair is
     visited once; the union over B is assembled sorted.
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().swap_c(fact, child_name)
     ftree = fact.ftree
     node_b = ftree.node(child_name)
     node_a = ftree.parent(node_b)
@@ -131,35 +163,77 @@ def swap(fact: Factorisation, child_name: str) -> Factorisation:
     new_b, tb_idx, tab_idx = _swapped_nodes(node_a, node_b)
     new_ftree = ftree.replace_node(node_a.name, lambda _: [new_b])
 
-    def transform(_: FNode, union_a: list[FRNode]) -> list[FRNode]:
-        collected: dict[Any, dict] = {}
-        for a_entry in union_a:
-            a_rest = tuple(
-                child for i, child in enumerate(a_entry.children) if i != j
+    rest_idx = [i for i in range(len(node_a.children)) if i != j]
+    strict = STRICT_SWAP_CHECKS
+
+    if not tb_idx and not tab_idx and not rest_idx:
+        # Pure two-level inversion: A has no other children and B keeps
+        # nothing above or below, so the pivot is b -> [a, ...] with no
+        # per-pair bookkeeping.  Ascending a-iteration keeps each
+        # regrouped union sorted without a per-union sort.
+        def invert(_: FNode, union_a: CUnion) -> CUnion:
+            b_col = union_a.children[j]
+            collected: dict[Any, list] = {}
+            collected_get = collected.get
+            for ai, a_value in enumerate(union_a.values):  # repro: allow[kernel-scalar-loop] -- regrouping pivot: each (a, b) pair moves once
+                for b_value in b_col[ai].values:  # repro: allow[kernel-scalar-loop] -- see above
+                    got = collected_get(b_value)
+                    if got is None:
+                        collected[b_value] = [a_value]
+                    else:
+                        got.append(a_value)
+            values = sorted(collected)
+            return CUnion(
+                values, ([CUnion(collected[v], ()) for v in values],)
             )
-            for b_entry in a_entry.children[j]:
-                record = collected.get(b_entry.value)
+
+        root_index, steps = ftree.path_to(node_a.name)
+        return map_cunion_at(fact, root_index, steps, invert, new_ftree)
+
+    def transform(_: FNode, union_a: CUnion) -> CUnion:
+        a_values = union_a.values
+        a_cols = union_a.children
+        b_col = a_cols[j]
+        # b_value -> (T_B fragments, [(a_value, ai, b_cols, bi), ...]);
+        # the pivot records each (a, b) pair once, and the under-union
+        # columns are materialised per b-value with one comprehension
+        # per column instead of per-pair appends.
+        collected: dict[Any, tuple] = {}
+        collected_get = collected.get
+        for ai, a_value in enumerate(a_values):  # repro: allow[kernel-scalar-loop] -- regrouping pivot: each (a, b) pair moves once
+            b_union = b_col[ai]
+            b_cols = b_union.children
+            for bi, b_value in enumerate(b_union.values):  # repro: allow[kernel-scalar-loop] -- see above
+                record = collected_get(b_value)
                 if record is None:
-                    record = {
-                        "f": [b_entry.children[i] for i in tb_idx],
-                        "under": [],
-                    }
-                    collected[b_entry.value] = record
-                elif STRICT_SWAP_CHECKS:
-                    _check_independent_fragments(
-                        record["f"], [b_entry.children[i] for i in tb_idx]
+                    collected[b_value] = (
+                        [b_cols[i][bi] for i in tb_idx],
+                        [(a_value, ai, b_cols, bi)],
                     )
-                g_parts = tuple(b_entry.children[i] for i in tab_idx)
-                record["under"].append(FRNode(a_entry.value, a_rest + g_parts))
-        new_union: list[FRNode] = []
-        for value in sorted(collected):
-            record = collected[value]
-            children = tuple(record["f"]) + (record["under"],)
-            new_union.append(FRNode(value, children))
-        return new_union
+                    continue
+                if strict:
+                    _check_independent_fragments(
+                        record[0], [b_cols[i][bi] for i in tb_idx]
+                    )
+                record[1].append((a_value, ai, b_cols, bi))
+        values = sorted(collected)
+        tb_out = tuple(
+            [collected[value][0][t] for value in values]
+            for t in range(len(tb_idx))
+        )
+        under_col = []
+        for value in values:  # repro: allow[kernel-scalar-loop] -- one union object built per b-value
+            pairs = collected[value][1]
+            under_cols = [
+                [a_cols[i][p[1]] for p in pairs] for i in rest_idx
+            ] + [[p[2][i][p[3]] for p in pairs] for i in tab_idx]
+            under_col.append(
+                CUnion([p[0] for p in pairs], tuple(under_cols))
+            )
+        return CUnion(values, tb_out + (under_col,))
 
     root_index, steps = ftree.path_to(node_a.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_at(fact, root_index, steps, transform, new_ftree)
 
 
 def _check_independent_fragments(first: list, second: list) -> None:
@@ -171,14 +245,14 @@ def _check_independent_fragments(first: list, second: list) -> None:
         )
 
 
-def _fragments_signature(fragments: list) -> tuple:
-    def sig_union(union: list[FRNode]) -> tuple:
-        return tuple(
-            (entry.value, tuple(sig_union(child) for child in entry.children))
-            for entry in union
+def _fragments_signature(fragments: Sequence[CUnion]) -> tuple:
+    def sig(union: CUnion) -> tuple:
+        return (
+            tuple(union.values),
+            tuple(tuple(sig(sub) for sub in col) for col in union.children),
         )
 
-    return tuple(sig_union(union) for union in fragments)
+    return tuple(sig(union) for union in fragments)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +287,69 @@ def _merged_node(node_a: FNode, node_b: FNode) -> FNode:
     )
 
 
+def _intersect_unions(left: CUnion, right: CUnion) -> CUnion:
+    """Sorted intersection; matched entries concatenate child columns."""
+    left_values = left.values
+    right_values = right.values
+    if (
+        _NUMPY is not None
+        and len(left_values) >= _NUMPY_MIN_LENGTH
+        and len(right_values) >= _NUMPY_MIN_LENGTH
+    ):
+        fast = _numpy_intersect(left_values, right_values)
+        if fast is not None:
+            values, keep_left, keep_right = fast
+            return CUnion(
+                values,
+                tuple([col[i] for i in keep_left] for col in left.children)
+                + tuple([col[i] for i in keep_right] for col in right.children),
+            )
+    values = []
+    keep_left: list[int] = []
+    keep_right: list[int] = []
+    i = j = 0
+    end_left = len(left_values)
+    end_right = len(right_values)
+    while i < end_left and j < end_right:
+        lv = left_values[i]
+        rv = right_values[j]
+        if lv < rv:
+            i += 1
+        elif rv < lv:
+            j += 1
+        else:
+            values.append(lv)
+            keep_left.append(i)
+            keep_right.append(j)
+            i += 1
+            j += 1
+    return CUnion(
+        values,
+        tuple([col[i] for i in keep_left] for col in left.children)
+        + tuple([col[j] for j in keep_right] for col in right.children),
+    )
+
+
+def _numpy_intersect(left_values: list, right_values: list):
+    """np.intersect1d over numeric arrays; None when not applicable."""
+    try:
+        left_arr = _NUMPY.asarray(left_values)
+        right_arr = _NUMPY.asarray(right_values)
+    except (TypeError, ValueError):  # pragma: no cover - defensive
+        return None
+    if left_arr.dtype == object or right_arr.dtype == object:
+        return None
+    values, keep_left, keep_right = _NUMPY.intersect1d(
+        left_arr, right_arr, assume_unique=True, return_indices=True
+    )
+    # Back to plain Python objects: numpy scalars must never leak into
+    # value arrays (they are not JSON-serialisable and surprise pickles).
+    return values.tolist(), keep_left.tolist(), keep_right.tolist()
+
+
+@_timed("merge")
 def merge_siblings(fact: Factorisation, name_a: str, name_b: str) -> Factorisation:
     """σ_{A=B} for siblings: intersect the two sorted unions (linear)."""
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().merge_siblings_c(fact, name_a, name_b)
     ftree = fact.ftree
     node_a, node_b = ftree.node(name_a), ftree.node(name_b)
     _require_siblings(ftree, node_a, node_b)
@@ -227,30 +360,33 @@ def merge_siblings(fact: Factorisation, name_a: str, name_b: str) -> Factorisati
         ia = next(i for i, n in enumerate(ftree.roots) if n is node_a)
         ib = next(i for i, n in enumerate(ftree.roots) if n is node_b)
         merged = _intersect_unions(fact.roots[ia], fact.roots[ib])
-        # Positional bookkeeping: replace_node keeps A's slot and drops B's.
         roots = _reposition_roots(fact.roots, ia, ib, merged)
         return Factorisation(new_ftree, roots)
 
     ia = next(i for i, n in enumerate(parent.children) if n is node_a)
     ib = next(i for i, n in enumerate(parent.children) if n is node_b)
+    slot = _merged_slot(ia, ib)
 
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
-        out: list[FRNode] = []
-        for entry in union:
-            merged = _intersect_unions(entry.children[ia], entry.children[ib])
-            if not merged:
+    def transform(_: FNode, union: CUnion) -> CUnion:
+        values = union.values
+        cols = union.children
+        col_a = cols[ia]
+        col_b = cols[ib]
+        merged_col: list[CUnion] = []
+        keep: list[int] = []
+        for i in range(len(values)):
+            merged = _intersect_unions(col_a[i], col_b[i])
+            if not merged.values:
                 continue  # the selection empties this context: prune
-            children = tuple(
-                child
-                for i, child in enumerate(entry.children)
-                if i != ia and i != ib
-            )
-            children = _insert_at(children, _merged_slot(ia, ib), merged)
-            out.append(FRNode(entry.value, children))
-        return out
+            keep.append(i)
+            merged_col.append(merged)
+        rest = [c for c in range(len(cols)) if c != ia and c != ib]
+        out_cols = [[cols[c][i] for i in keep] for c in rest]
+        out_cols.insert(slot, merged_col)
+        return CUnion([values[i] for i in keep], tuple(out_cols))
 
     root_index, steps = ftree.path_to(parent.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_at(fact, root_index, steps, transform, new_ftree)
 
 
 def _merged_slot(ia: int, ib: int) -> int:
@@ -263,32 +399,11 @@ def _merged_slot(ia: int, ib: int) -> int:
 
 
 def _reposition_roots(
-    roots: Sequence[list], ia: int, ib: int, merged: list
-) -> list[list]:
+    roots: Sequence[CUnion], ia: int, ib: int, merged: CUnion
+) -> list[CUnion]:
     remaining = [u for i, u in enumerate(roots) if i != ia and i != ib]
     remaining.insert(_merged_slot(ia, ib), merged)
     return remaining
-
-
-def _insert_at(children: tuple, index: int, union: list) -> tuple:
-    return children[:index] + (union,) + children[index:]
-
-
-def _intersect_unions(left: list[FRNode], right: list[FRNode]) -> list[FRNode]:
-    """Sorted-merge intersection; matched entries concatenate children."""
-    out: list[FRNode] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        lv, rv = left[i].value, right[j].value
-        if lv < rv:
-            i += 1
-        elif rv < lv:
-            j += 1
-        else:
-            out.append(FRNode(lv, left[i].children + right[j].children))
-            i += 1
-            j += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +430,7 @@ def absorb_tree(ftree: FTree, ancestor_name: str, descendant_name: str) -> FTree
     return hoisted.replace_node(node_anc.name, lambda _: [merged])
 
 
+@_timed("absorb")
 def absorb(
     fact: Factorisation, ancestor_name: str, descendant_name: str
 ) -> Factorisation:
@@ -322,11 +438,9 @@ def absorb(
 
     For every value ``a`` of the ancestor, the descendant union in each
     context below it is filtered to the single entry with value ``a``
-    (binary search in the sorted union) and its children are spliced in
-    place; contexts with no match are pruned.
+    (binary search in the sorted value array) and its child columns are
+    spliced in place; contexts with no match are pruned.
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().absorb_c(fact, ancestor_name, descendant_name)
     ftree = fact.ftree
     node_anc = ftree.node(ancestor_name)
     node_desc = ftree.node(descendant_name)
@@ -336,7 +450,6 @@ def absorb(
         )
     new_ftree = absorb_tree(ftree, ancestor_name, descendant_name)
 
-    # Child-index path from the ancestor down to the descendant.
     spine = [node_desc]
     current = ftree.parent(node_desc)
     while current is not node_anc:
@@ -348,68 +461,125 @@ def absorb(
         next(i for i, child in enumerate(upper.children) if child is lower)
         for upper, lower in zip(spine, spine[1:])
     ]
+    direct = len(rel_steps) == 1
+    out_arity = (
+        len(node_anc.children) - 1 + len(node_desc.children)
+        if direct
+        else len(node_anc.children)
+    )
 
-    def filter_entry(
-        node: FNode, entry: FRNode, steps: Sequence[int], value: Any
-    ) -> FRNode | None:
+    def filter_union(node: FNode, union: CUnion, steps: Sequence[int], value: Any) -> CUnion:
+        """Keep entries whose descendant (at ``steps``) holds ``value``."""
         step = steps[0]
+        cols = union.children
+        col = cols[step]
         if len(steps) == 1:
-            union = entry.children[step]
-            index = bisect_left([e.value for e in union], value)
-            if index == len(union) or union[index].value != value:
-                return None
-            match = union[index]
-            children = (
-                entry.children[:step]
-                + match.children
-                + entry.children[step + 1 :]
-            )
-            return FRNode(entry.value, children)
-        new_sub: list[FRNode] = []
-        for sub in entry.children[step]:
-            filtered = filter_entry(node.children[step], sub, steps[1:], value)
-            if filtered is not None:
-                new_sub.append(filtered)
-        if not new_sub:
-            return None
-        children = (
-            entry.children[:step] + (new_sub,) + entry.children[step + 1 :]
+            k_desc = len(node.children[step].children)
+            matched_cols: list[list[CUnion]] = [[] for _ in range(k_desc)]
+            keep: list[int] = []
+            for i, sub in enumerate(col):
+                sub_values = sub.values
+                index = bisect_left(sub_values, value)
+                if index == len(sub_values) or sub_values[index] != value:
+                    continue
+                keep.append(i)
+                for c in range(k_desc):
+                    matched_cols[c].append(sub.children[c][index])
+            out_cols: list[list[CUnion]] = []
+            for c in range(len(cols)):
+                if c == step:
+                    out_cols.extend(matched_cols)
+                else:
+                    out_cols.append([cols[c][i] for i in keep])
+            return CUnion([union.values[i] for i in keep], tuple(out_cols))
+        new_col: list[CUnion] = []
+        keep = []
+        for i, sub in enumerate(col):
+            filtered = filter_union(node.children[step], sub, steps[1:], value)
+            if not filtered.values:
+                continue
+            keep.append(i)
+            new_col.append(filtered)
+        return CUnion(
+            [union.values[i] for i in keep],
+            tuple(
+                new_col if c == step else [cols[c][i] for i in keep]
+                for c in range(len(cols))
+            ),
         )
-        return FRNode(entry.value, children)
 
-    def transform(node: FNode, union: list[FRNode]) -> list[FRNode]:
-        out = []
-        for entry in union:
-            filtered = filter_entry(node, entry, rel_steps, entry.value)
-            if filtered is not None:
-                out.append(filtered)
-        return out
+    def transform(node: FNode, union: CUnion) -> CUnion:
+        values = union.values
+        cols = union.children
+        step = rel_steps[0]
+        keep: list[int] = []
+        entry_children: list[tuple] = []
+        for i, value in enumerate(values):  # repro: allow[kernel-scalar-loop] -- each context filters by its own value
+            sub = cols[step][i]
+            if direct:
+                sub_values = sub.values
+                index = bisect_left(sub_values, value)
+                if index == len(sub_values) or sub_values[index] != value:
+                    continue
+                matched = tuple(col[index] for col in sub.children)
+                children = (
+                    tuple(cols[c][i] for c in range(step))
+                    + matched
+                    + tuple(cols[c][i] for c in range(step + 1, len(cols)))
+                )
+            else:
+                filtered = filter_union(
+                    node.children[step], sub, rel_steps[1:], value
+                )
+                if not filtered.values:
+                    continue
+                children = tuple(
+                    cols[c][i] if c != step else filtered
+                    for c in range(len(cols))
+                )
+            keep.append(i)
+            entry_children.append(children)
+        out_cols = tuple(
+            [entry[c] for entry in entry_children] for c in range(out_arity)
+        )
+        if not entry_children:
+            out_cols = tuple([] for _ in range(out_arity))
+        return CUnion([values[i] for i in keep], out_cols)
 
     root_index, steps = ftree.path_to(node_anc.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_at(fact, root_index, steps, transform, new_ftree)
 
 
 # ---------------------------------------------------------------------------
 # constant selection
 # ---------------------------------------------------------------------------
+@_timed("select")
 def select_constant(fact: Factorisation, condition: Comparison) -> Factorisation:
-    """σ_{AθC}: filter the union of A's node in every context."""
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().select_constant_c(fact, condition)
+    """σ_{AθC}: one filter pass over the value array of A's unions."""
     ftree = fact.ftree
     node = ftree.node(condition.attribute)
     component: int | None = None
     if node.is_aggregate:
         component = _scalar_component(node.aggregate)
+    test = condition.test
 
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
+    def transform(_: FNode, union: CUnion) -> CUnion:
+        values = union.values
         if component is None:
-            return [e for e in union if condition.test(e.value)]
-        return [e for e in union if condition.test(e.value[component])]
+            keep = [i for i, value in enumerate(values) if test(value)]
+        else:
+            keep = [
+                i for i, value in enumerate(values) if test(value[component])
+            ]
+        if len(keep) == len(values):
+            return union  # nothing filtered: share the fragment unchanged
+        return CUnion(
+            [values[i] for i in keep],
+            tuple([col[i] for i in keep] for col in union.children),
+        )
 
     root_index, steps = ftree.path_to(node.name)
-    return map_union_at(fact, root_index, steps, transform, fact.ftree)
-
+    return map_cunion_at(fact, root_index, steps, transform, fact.ftree)
 
 def _scalar_component(aggregate: AggregateAttribute) -> int:
     if len(aggregate.functions) != 1:
@@ -442,14 +612,13 @@ def remove_leaf_tree(ftree: FTree, name: str) -> FTree:
     )
 
 
+@_timed("remove_leaf")
 def remove_leaf(fact: Factorisation, name: str) -> Factorisation:
-    """Projection step: drop a leaf attribute from the representation.
+    """Projection step: drop a leaf's column everywhere it occurs.
 
     No duplicate elimination is ever needed: distinct sibling structure
     is untouched, so the remaining representation stays a set.
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().remove_leaf_c(fact, name)
     ftree = fact.ftree
     node = ftree.node(name)
     if node.children:
@@ -469,17 +638,12 @@ def remove_leaf(fact: Factorisation, name: str) -> Factorisation:
 
     index = next(i for i, n in enumerate(parent.children) if n is node)
 
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
-        return [
-            FRNode(
-                entry.value,
-                entry.children[:index] + entry.children[index + 1 :],
-            )
-            for entry in union
-        ]
+    def transform(_: FNode, union: CUnion) -> CUnion:
+        cols = union.children
+        return CUnion(union.values, cols[:index] + cols[index + 1 :])
 
     root_index, steps = ftree.path_to(parent.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_at(fact, root_index, steps, transform, new_ftree)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +672,7 @@ def remove_class_attribute(fact: Factorisation, attribute: str) -> Factorisation
             tuple(a for a in current.attributes if a != attribute)
         )
 
-    return fact.__class__(fact.ftree.map_nodes(relabel), fact.roots)
+    return Factorisation(fact.ftree.map_nodes(relabel), fact.roots)
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +695,13 @@ def rename(fact: Factorisation, old: str, new: str) -> Factorisation:
         attributes = tuple(new if a == old else a for a in current.attributes)
         return current.with_attributes(attributes)
 
-    return fact.__class__(fact.ftree.map_nodes(relabel), fact.roots)
+    return Factorisation(fact.ftree.map_nodes(relabel), fact.roots)
 
 
 # ---------------------------------------------------------------------------
 # nesting independent fragments (group-path linearisation)
 # ---------------------------------------------------------------------------
+@_timed("nest")
 def nest_under(fact: Factorisation, name: str, target_sibling: str) -> Factorisation:
     """Move a subtree below an *independent sibling* subtree.
 
@@ -548,8 +713,6 @@ def nest_under(fact: Factorisation, name: str, target_sibling: str) -> Factorisa
     factorisation of an aggregate query requires (the aggregate value
     depends on every group attribute).
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().nest_under_c(fact, name, target_sibling)
     ftree = fact.ftree
     node = ftree.node(name)
     target = ftree.node(target_sibling)
@@ -572,28 +735,25 @@ def nest_under(fact: Factorisation, name: str, target_sibling: str) -> Factorisa
 
     new_t_slot = t_idx - 1 if s_idx < t_idx else t_idx
 
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
-        out = []
-        for entry in union:
-            moved = entry.children[s_idx]
-            rest = tuple(
-                c for i, c in enumerate(entry.children) if i != s_idx
+    def transform(_: FNode, union: CUnion) -> CUnion:
+        cols = union.children
+        moved_col = cols[s_idx]
+        rest = [cols[c] for c in range(len(cols)) if c != s_idx]
+        target_col = rest[new_t_slot]
+        rest[new_t_slot] = [
+            CUnion(
+                t.values,
+                t.children + ([moved_col[i]] * len(t.values),),
             )
-            target_union = rest[new_t_slot]
-            new_target_union = [
-                FRNode(t_entry.value, t_entry.children + (moved,))
-                for t_entry in target_union
-            ]
-            children = (
-                rest[:new_t_slot] + (new_target_union,) + rest[new_t_slot + 1 :]
-            )
-            out.append(FRNode(entry.value, children))
-        return out
+            for i, t in enumerate(target_col)
+        ]
+        return CUnion(union.values, tuple(rest))
 
     root_index, steps = ftree.path_to(parent.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_at(fact, root_index, steps, transform, new_ftree)
 
 
+@_timed("nest")
 def nest_root_under(fact: Factorisation, root_name: str, target: str) -> Factorisation:
     """Move a whole root tree below an arbitrary node of another tree.
 
@@ -601,8 +761,6 @@ def nest_root_under(fact: Factorisation, root_name: str, target: str) -> Factori
     fragment is context-free and can be shared under every value of the
     target node.
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().nest_root_under_c(fact, root_name, target)
     ftree = fact.ftree
     node = ftree.node(root_name)
     if ftree.parent(node) is not None:
@@ -621,15 +779,15 @@ def nest_root_under(fact: Factorisation, root_name: str, target: str) -> Factori
     pruned_tree = FTree(pruned_roots)
     new_ftree = pruned_tree.replace_node(target, lambda _: [new_target])
 
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
-        return [
-            FRNode(entry.value, entry.children + (moved_union,))
-            for entry in union
-        ]
+    def transform(_: FNode, union: CUnion) -> CUnion:
+        return CUnion(
+            union.values,
+            union.children + ([moved_union] * len(union.values),),
+        )
 
     pruned = Factorisation(pruned_tree, pruned_fact_roots)
     root_index, steps = pruned_tree.path_to(target)
-    return map_union_at(pruned, root_index, steps, transform, new_ftree)
+    return map_cunion_at(pruned, root_index, steps, transform, new_ftree)
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +795,8 @@ def nest_root_under(fact: Factorisation, root_name: str, target: str) -> Factori
 # ---------------------------------------------------------------------------
 def product(left: Factorisation, right: Factorisation) -> Factorisation:
     """E1 × E2: concatenate the forests (disjoint attribute names)."""
-    if left.layout != right.layout:
-        left = left.to_columnar()
-        right = right.to_columnar()
     ftree = FTree(left.ftree.roots + right.ftree.roots)
-    return left.__class__(ftree, left.roots + right.roots)
+    return Factorisation(ftree, left.roots + right.roots)
 
 
 # ---------------------------------------------------------------------------
@@ -744,22 +899,24 @@ def _resolve_subtrees(
     return parent, sorted(indices)
 
 
+@_timed("aggregate")
 def apply_aggregation(
     fact: Factorisation,
     parent_name: str | None,
     child_names: Sequence[str],
-    functions: Sequence[tuple[str, str | None]],
+    functions: Sequence[tuple[str, "str | Expr | None"]],
     name: str | None = None,
 ) -> Factorisation:
     """γ_F(U): replace each expression over U with ⟨F(U): v⟩ (Section 3.2).
 
     The value ``v`` is computed by the linear-time recursive algorithms
-    in :mod:`repro.core.aggregates`, once per context of U's parent.
+    in :mod:`repro.core.aggregates`, once per context of U's parent, as
+    a batch fold: the carrier is located once per union and the
+    per-child count arrays are computed once and shared between the
+    count and sum components.  γ of the empty relation is the empty
+    pre-aggregated relation, and a context holding zero tuples of U is
+    pruned (SQL drops empty groups).
     """
-    if type(fact) is ColumnarFactorisation:
-        return _kernels().apply_aggregation_c(
-            fact, parent_name, child_names, functions, name
-        )
     ftree = fact.ftree
     parent, indices = _resolve_subtrees(ftree, parent_name, child_names)
     new_ftree, agg_name = aggregate_tree(
@@ -767,47 +924,70 @@ def apply_aggregation(
     )
     index_set = set(indices)
     functions = tuple(functions)
+    slot = _collapsed_slot(indices[0], indices)
 
     if parent is None:
-        items = [
-            (ftree.roots[i], fact.roots[i]) for i in indices
-        ]
-        roots = [
-            u for i, u in enumerate(fact.roots) if i not in index_set
-        ]
+        items = [(ftree.roots[i], fact.roots[i]) for i in indices]
+        roots = [u for i, u in enumerate(fact.roots) if i not in index_set]
         if agg.forest_is_empty(items):
-            # γ of the empty relation is the empty pre-aggregated
-            # relation: an empty union, not a ⟨F(∅): v⟩ singleton.
-            union: list[FRNode] = []
+            union = empty_cunion(0)
         else:
-            union = [FRNode(agg.evaluate_components(functions, items), ())]
-        roots.insert(_collapsed_slot(indices[0], indices), union)
+            union = CUnion([agg.evaluate_components(functions, items)], ())
+        roots.insert(slot, union)
         return Factorisation(new_ftree, roots)
 
     child_nodes = [parent.children[i] for i in indices]
+    scalar_fallback = any(
+        isinstance(attribute, Expr) for _, attribute in functions
+    )
+    # One shared-fragment cache for the whole operator application:
+    # restructured factorisations share subtrees across parent entries.
+    memo: dict = {}
 
-    def transform(_: FNode, union: list[FRNode]) -> list[FRNode]:
-        out = []
-        for entry in union:
-            items = [
-                (node, entry.children[i])
-                for node, i in zip(child_nodes, indices)
+    def transform(_: FNode, union: CUnion) -> CUnion:
+        values = union.values
+        cols = union.children
+        agg_cols = [cols[i] for i in indices]
+        # Emptiness mask first: dropped contexts must never be evaluated
+        # (extrema over ∅ raise; SQL drops empty groups).  Computed per
+        # column so leaf and aggregate-leaf children fuse; when no entry
+        # is dropped the input columns are reused without copying.
+        dead = None
+        for node, col in zip(child_nodes, agg_cols):
+            mask = agg.empty_column(node, col, memo)
+            dead = mask if dead is None else [d or m for d, m in zip(dead, mask)]
+        if dead is not None and any(dead):
+            keep = [i for i, d in enumerate(dead) if not d]
+            values = [values[i] for i in keep]
+            agg_cols = [[col[i] for i in keep] for col in agg_cols]
+        else:
+            keep = None
+        if scalar_fallback:
+            agg_values = [
+                agg.evaluate_components(  # repro: allow[kernel-scalar-loop] -- expression aggregates stay per-entry
+                    functions,
+                    [
+                        (node, col[i])
+                        for node, col in zip(child_nodes, agg_cols)
+                    ],
+                )
+                for i in range(len(values))
             ]
-            if agg.forest_is_empty(items):
-                # This context holds zero tuples of the aggregated
-                # subtrees (e.g. a selection drained them): the entry
-                # represents no result tuples — prune it, matching the
-                # SQL rule that empty groups do not appear.
-                continue
-            value = agg.evaluate_components(functions, items)
-            children = [
-                c for i, c in enumerate(entry.children) if i not in index_set
-            ]
-            children.insert(
-                _collapsed_slot(indices[0], indices), [FRNode(value, ())]
+        else:
+            agg_values = agg.batch_components(
+                functions, child_nodes, agg_cols, len(values), memo
             )
-            out.append(FRNode(entry.value, tuple(children)))
-        return out
+        agg_col = [CUnion([value], ()) for value in agg_values]
+        if keep is None:
+            out_cols = [cols[c] for c in range(len(cols)) if c not in index_set]
+        else:
+            out_cols = [
+                [cols[c][i] for i in keep]
+                for c in range(len(cols))
+                if c not in index_set
+            ]
+        out_cols.insert(slot, agg_col)
+        return CUnion(values, tuple(out_cols))
 
     root_index, steps = ftree.path_to(parent.name)
-    return map_union_at(fact, root_index, steps, transform, new_ftree)
+    return map_cunion_at(fact, root_index, steps, transform, new_ftree)

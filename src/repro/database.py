@@ -40,6 +40,8 @@ readers and cached backends can still replay the gap when they advance.
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
@@ -52,6 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.frep import Factorisation
     from repro.ivm.delta import Delta, Deletion, Insertion
     from repro.ivm.maintain import ViewDelta
+
+# Source of Database.token: process-unique, never reused (unlike id()).
+_TOKENS = itertools.count(1)
 
 # Pre-bound instruments: the updates below run inside the writer lock
 # or the log lock, so they must not allocate (linter: obs-allocation).
@@ -357,6 +362,10 @@ class Database:
         self.relations: dict[str, Relation] = {}
         self.factorised: dict[str, "Factorisation"] = {}
         self.version = 0
+        # Identity for per-database caches (repro.stats): a freed
+        # database and a new one at the same address and version must
+        # never share entries, so id() will not do.
+        self.token = f"{os.getpid():x}-{next(_TOKENS)}"
         self.maintenance = MaintenanceStats()
         # Cumulative changed-row counts per view since creation; the
         # statistics cache (repro.stats) diffs these against the value
@@ -856,14 +865,9 @@ class Database:
     ) -> "Factorisation":
         """Fall back to re-factorising a view after a failed splice."""
         from repro.core.build import factorise
-        from repro.core.frep import ColumnarFactorisation
         from repro.ivm.delta import DeltaError
         from repro.ivm.maintain import contributors
         from repro.relational.operators import multiway_join
-
-        layout = (
-            "columnar" if isinstance(fact, ColumnarFactorisation) else "legacy"
-        )
 
         if any(node.is_aggregate for node in fact.ftree.nodes()):
             raise DeltaError(
@@ -898,7 +902,7 @@ class Database:
                         row for row in fresh.rows if row not in doomed
                     ]
                 source = fresh
-            rebuilt = factorise(source, fact.ftree, layout=layout)
+            rebuilt = factorise(source, fact.ftree)
             if rebuilt.tuple_count() == len(set(source.rows)):
                 return rebuilt
             # The updated relation no longer satisfies the f-tree's join
@@ -906,9 +910,7 @@ class Database:
             # of the subtree projections).  Every relation admits a path
             # factorisation (Section 2.1), so re-register over the path
             # f-tree — keeping each node's dependency keys for routing.
-            return factorise(
-                source, _path_fallback_tree(fact.ftree), layout=layout
-            )
+            return factorise(source, _path_fallback_tree(fact.ftree))
         missing = sorted(key for key in contributors(fact) if key not in self)
         if missing:
             raise DeltaError(
@@ -923,7 +925,7 @@ class Database:
                 f"view {view_name!r} cannot be rebuilt: its contributors "
                 f"do not produce attributes {absent!r}"
             )
-        return factorise(joined.project(attributes), fact.ftree, layout=layout)
+        return factorise(joined.project(attributes), fact.ftree)
 
     def _append_log(self, record: LogRecord) -> None:
         """Append one record, truncating with respect for pinned readers.

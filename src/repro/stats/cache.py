@@ -1,6 +1,6 @@
 """The drift-aware statistics cache behind cost-based optimisation.
 
-Entries are keyed per (database identity, relation) and validated the
+Entries are keyed per (database token, relation) and validated the
 same way the PR 5 plan cache fingerprints the catalogue: by schema and
 registered f-tree signature, so schema changes invalidate naturally.
 Each key additionally carries an *epoch* counter that the prepared-
@@ -44,14 +44,13 @@ CAPACITY = 64
 _STATS_EVENTS = metrics().counter(
     "repro_stats_cache_events_total",
     "Statistics cache traffic by event and source "
-    "(hit/miss/seed/invalidate × cache/columnar/legacy/flat/metrics/"
+    "(hit/miss/seed/invalidate × cache/columnar/flat/metrics/"
     "merged/drift/schema).",
     ("event", "source"),
 )
 _HIT = _STATS_EVENTS.labels("hit", "cache")
 _MISS = _STATS_EVENTS.labels("miss", "cache")
 _SEED_COLUMNAR = _STATS_EVENTS.labels("seed", "columnar")
-_SEED_LEGACY = _STATS_EVENTS.labels("seed", "legacy")
 _SEED_FLAT = _STATS_EVENTS.labels("seed", "flat")
 _SEED_METRICS = _STATS_EVENTS.labels("seed", "metrics")
 _SEED_MERGED = _STATS_EVENTS.labels("seed", "merged")
@@ -67,7 +66,6 @@ _REOPT_DRIFT = _REOPT.labels("drift")
 
 _SEED_EVENTS = {
     "columnar": _SEED_COLUMNAR,
-    "legacy": _SEED_LEGACY,
     "flat": _SEED_FLAT,
     "metrics": _SEED_METRICS,
     "merged": _SEED_MERGED,
@@ -77,6 +75,11 @@ _SEED_EVENTS = {
 def _origin(database):
     """The live database behind a snapshot (drift lives there)."""
     return getattr(database, "database", database)
+
+
+def _key(database, name: str) -> tuple:
+    """Cache key: the live database's process-unique token, not its id()."""
+    return (_origin(database).token, name)
 
 
 @dataclass
@@ -109,7 +112,7 @@ class StatsCache:
         relations (the optimiser then falls back to asymptotic costs).
         """
         origin = _origin(database)
-        key = (id(origin), name)
+        key = _key(database, name)
         version = getattr(database, "version", 0)
         with self._lock:
             entry = self._entries.get(key)
@@ -183,11 +186,10 @@ class StatsCache:
         bump changes the fingerprint and the stale plan-cache entry is
         bypassed.
         """
-        origin = _origin(database)
         version = getattr(database, "version", 0)
         out = []
         for name in sorted(set(names)):
-            key = (id(origin), name)
+            key = _key(database, name)
             with self._lock:
                 entry = self._entries.get(key)
             if (
@@ -213,10 +215,9 @@ class StatsCache:
     # ------------------------------------------------------------------
     def prime(self, database, stats_by_name: Mapping[str, RelationStats]) -> None:
         """Install externally computed statistics (e.g. shard merges)."""
-        origin = _origin(database)
         version = getattr(database, "version", 0)
         for name, stats in stats_by_name.items():
-            self._store(database, (id(origin), name), stats, version)
+            self._store(database, _key(database, name), stats, version)
             counter = _SEED_EVENTS.get(stats.source)
             if counter is not None:
                 counter.inc()

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.frep import CUnion, union_values
 from repro.obs.metrics import metrics
 from repro.relational.relation import Relation
 from repro.stats.model import HISTOGRAM_WIDTH, AttributeStats, RelationStats
@@ -52,12 +51,6 @@ def _top_k(counts: "dict[Any, int]") -> "tuple[tuple, bool]":
     return tuple(top[:HISTOGRAM_WIDTH]), len(top) <= HISTOGRAM_WIDTH
 
 
-def _child_unions(union, index: int) -> list:
-    if type(union) is CUnion:
-        return union.children[index]
-    return [entry.children[index] for entry in union]
-
-
 def stats_from_factorisation(name: str, fact) -> RelationStats:
     """Exact statistics from a resident factorisation — no data scan.
 
@@ -73,7 +66,7 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
         if not node.is_aggregate and node.attributes:
             counts: dict[Any, int] = {}
             for union in unions:
-                for value in union_values(union):
+                for value in union.values:
                     counts[value] = counts.get(value, 0) + 1
             histogram, complete = _top_k(counts)
             entry = AttributeStats(
@@ -87,7 +80,7 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
         for index, child in enumerate(node.children):
             gathered: list = []
             for union in unions:
-                gathered.extend(_child_unions(union, index))
+                gathered.extend(union.children[index])
             walk(child, gathered)
 
     for node, union in zip(fact.ftree.roots, fact.roots):
@@ -97,7 +90,7 @@ def stats_from_factorisation(name: str, fact) -> RelationStats:
         name=name,
         rows=fact.tuple_count(),
         attributes=attributes,
-        source=fact.layout,
+        source="columnar",
         singletons=singletons,
         resident_bytes=resident_bytes,
     )
@@ -140,13 +133,9 @@ def stats_from_flat(
 # ---------------------------------------------------------------------------
 # Metrics-registry bridge
 # ---------------------------------------------------------------------------
-def _db_token(origin) -> str:
-    return f"{id(origin):x}"
-
-
 def publish_stats(origin, version: int, stats: RelationStats) -> None:
     """Record a seed in the metrics registry (and for operators)."""
-    token = _db_token(origin)
+    token = origin.token
     _STATS_ROWS.labels(token, stats.name).set(float(stats.rows))
     _STATS_VERSION.labels(token, stats.name).set(float(version))
     for attribute, entry in stats.attributes.items():
@@ -162,7 +151,7 @@ def stats_from_metrics(name: str, origin, version: int) -> "RelationStats | None
     were stamped with — any mutation since makes the recovery stale and
     the caller falls through to a fresh seed.
     """
-    token = _db_token(origin)
+    token = origin.token
     rows = None
     stamp = None
     for key, sample in _STATS_ROWS.samples():

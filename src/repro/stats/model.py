@@ -44,8 +44,8 @@ class AttributeStats:
 class RelationStats:
     """Summary of one relation (or registered view).
 
-    ``source`` labels where the numbers came from: the factorisation
-    layout (``columnar`` / ``legacy``) for resident-view walks,
+    ``source`` labels where the numbers came from: ``columnar`` for
+    walks over a resident view's union value arrays,
     ``flat`` for a sampling pass, ``metrics`` for values recovered from
     the ``repro.obs`` registry, and ``merged`` for cross-shard merges.
     """

@@ -317,7 +317,7 @@ class TestObsAllocation:
 # Kernel scalar loops (columnar batch discipline)
 # ---------------------------------------------------------------------------
 class TestKernelScalarLoop:
-    KERNEL = "src/repro/core/kernels.py"
+    KERNEL = "src/repro/core/operators.py"
 
     def test_for_over_union_values_attribute(self):
         findings = lint(

@@ -12,6 +12,7 @@ from repro.core.compress import (
 )
 from repro.relational.operators import multiway_join
 from repro.relational.relation import Relation
+from repro.core.frep import iter_entries
 
 
 @pytest.fixture()
@@ -71,7 +72,10 @@ def test_compressed_factorisation_supports_operators(pizza_fact):
     aggregated = ops.apply_aggregation(
         compressed, "pizza", ["item"], [("sum", "price")], name="sp"
     )
-    values = {e.value: e.children[1][0].value for e in aggregated.roots[0]}
+    values = {
+        value: children[1].values[0]
+        for value, children in iter_entries(aggregated.roots[0])
+    }
     assert values["Hawaii"] == (9,)
 
 

@@ -17,6 +17,7 @@ from repro.core.enumerate import iter_tuples, supports_grouping, supports_order
 from repro.data.pizzeria import pizzeria_database, pizzeria_view
 from repro.query import Query, aggregate
 from repro.relational.engine import RDBEngine
+from repro.core.frep import iter_entries
 
 
 @pytest.fixture()
@@ -30,15 +31,14 @@ def view():
 def test_figure1_factorisation_structure(view):
     _, fact = view
     # Three pizzas at the root, sorted; Hawaii shares Lucia & Pietro.
-    assert [e.value for e in fact.roots[0]] == [
+    assert fact.roots[0].values == [
         "Capricciosa",
         "Hawaii",
         "Margherita",
     ]
-    hawaii = fact.roots[0][1]
-    dates = hawaii.children[0]
-    assert [e.value for e in dates] == ["Friday"]
-    assert [c.value for c in dates[0].children[0]] == ["Lucia", "Pietro"]
+    dates = fact.roots[0].children[0][1]  # Hawaii's date fragment
+    assert dates.values == ["Friday"]
+    assert dates.children[0][0].values == ["Lucia", "Pietro"]
 
 
 def test_example1_scenario1_local_aggregation(view):
@@ -47,7 +47,10 @@ def test_example1_scenario1_local_aggregation(view):
     s = ops.apply_aggregation(
         fact, "pizza", ["item"], [("sum", "price")], name="sp"
     )
-    by_pizza = {e.value: e.children[1][0].value[0] for e in s.roots[0]}
+    by_pizza = {
+        value: children[1].values[0][0]
+        for value, children in iter_entries(s.roots[0])
+    }
     assert by_pizza == {"Capricciosa": 8, "Hawaii": 9, "Margherita": 6}
 
 
@@ -63,13 +66,10 @@ def test_example1_scenario2_restructure_and_partials(view):
         t3, "pizza", ["date"], [("count", None)], name="cd"
     )
     # T4 fragment of Mario/Capricciosa: count 2, sum 8 (paper's figures).
-    mario = next(e for e in t4.roots[0] if e.value == "Mario")
-    capricciosa = next(
-        p for p in mario.children[0] if p.value == "Capricciosa"
-    )
-    values = sorted(
-        child[0].value for child in capricciosa.children
-    )
+    customers = t4.roots[0]
+    pizzas = customers.children[0][customers.values.index("Mario")]
+    capricciosa = pizzas.values.index("Capricciosa")
+    values = sorted(col[capricciosa].values[0] for col in pizzas.children)
     assert values == [(2,), (8,)]
     final = ops.apply_aggregation(
         t4, "customer", ["pizza"], [("sum", "price")], name="revenue"

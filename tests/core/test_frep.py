@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.build import factorise, factorise_path
 from repro.core.frep import (
+    CUnion,
     Factorisation,
     FactorisationError,
-    FRNode,
-    empty_like,
-    singleton_union,
+    empty_cunion,
+    empty_factorisation,
+    singleton_cunion,
 )
 from repro.core.ftree import build_ftree, path_ftree
 from repro.relational.relation import Relation
@@ -51,9 +52,9 @@ def test_iter_tuples_no_order(example3):
     )
 
 
-def test_empty_like():
+def test_empty_factorisation():
     tree = path_ftree(("x", "y"), "R")
-    fact = empty_like(tree)
+    fact = empty_factorisation(tree)
     assert fact.is_empty()
     assert fact.size() == 0
     assert list(fact.iter_tuples()) == []
@@ -62,7 +63,7 @@ def test_empty_like():
 def test_root_count_must_match():
     tree = path_ftree(("x",), "R")
     with pytest.raises(FactorisationError):
-        Factorisation(tree, [[], []])
+        Factorisation(tree, [empty_cunion(0), empty_cunion(0)])
 
 
 def test_validate_sorted_ok():
@@ -72,28 +73,35 @@ def test_validate_sorted_ok():
 
 def test_validate_detects_unsorted():
     tree = path_ftree(("x",), "R")
-    fact = Factorisation(tree, [[FRNode(2, ()), FRNode(1, ())]])
+    fact = Factorisation(tree, [CUnion([2, 1], ())])
     with pytest.raises(FactorisationError):
         fact.validate()
 
 
 def test_validate_detects_duplicates():
     tree = path_ftree(("x",), "R")
-    fact = Factorisation(tree, [[FRNode(1, ()), FRNode(1, ())]])
+    fact = Factorisation(tree, [CUnion([1, 1], ())])
     with pytest.raises(FactorisationError):
         fact.validate()
 
 
 def test_validate_detects_misaligned_children():
     tree = path_ftree(("x", "y"), "R")
-    fact = Factorisation(tree, [[FRNode(1, ())]])  # missing child fragment
+    fact = Factorisation(tree, [CUnion([1], ([],))])  # missing child fragment
+    with pytest.raises(FactorisationError):
+        fact.validate()
+
+
+def test_validate_detects_missing_child_column():
+    tree = path_ftree(("x", "y"), "R")
+    fact = Factorisation(tree, [CUnion([1], ())])  # no column for y
     with pytest.raises(FactorisationError):
         fact.validate()
 
 
 def test_equivalence_class_values_repeat():
     tree = build_ftree([(("a", "b"), [])], keys={"a": {"r"}})
-    fact = Factorisation(tree, [singleton_union(7)])
+    fact = Factorisation(tree, [singleton_cunion(7)])
     assert list(fact.iter_tuples()) == [(7, 7)]
     assert fact.schema() == ["a", "b"]
 
@@ -102,10 +110,7 @@ def test_tuple_count_multiplies_products():
     tree = build_ftree(["a", "b"], keys={"a": {"r"}, "b": {"s"}})
     fact = Factorisation(
         tree,
-        [
-            [FRNode(1, ()), FRNode(2, ())],
-            [FRNode(1, ()), FRNode(2, ()), FRNode(3, ())],
-        ],
+        [CUnion([1, 2], ()), CUnion([1, 2, 3], ())],
     )
     assert fact.tuple_count() == 6
     assert fact.size() == 5

@@ -96,3 +96,17 @@ def test_empty_factorisation_roundtrip():
     fact = factorise_path(Relation(("a", "b"), []), "R")
     restored = loads(dumps(fact))
     assert restored.is_empty() or restored.size() == 0
+
+
+def test_v1_golden_document_loads_and_redumps_identically():
+    """A v1 document written before unions became columnar (an
+    aggregate node plus an empty root union) round-trips byte for byte,
+    so the on-disk format is unchanged."""
+    from pathlib import Path
+
+    text = (Path(__file__).parent / "golden_v1.fdb.json").read_text()
+    fact = loads(text)
+    assert fact.ftree.node("sp").is_aggregate
+    assert fact.is_empty() and not fact.roots[1]
+    assert fact.roots[0].values == ["Capricciosa", "Hawaii", "Margherita"]
+    assert dumps(fact) == text

@@ -68,7 +68,7 @@ def test_ordered_enumeration_by_class_attribute():
 def test_select_constant_on_root(pizzeria):
     fact = pizzeria.get_factorised("R")
     selected = ops.select_constant(fact, Comparison("pizza", "!=", "Hawaii"))
-    values = {e.value for e in selected.roots[0]}
+    values = set(selected.roots[0].values)
     assert values == {"Capricciosa", "Margherita"}
 
 
@@ -91,7 +91,7 @@ def test_swap_aggregate_node_to_root(pizzeria):
     promoted = ops.swap(aggregated, "n")
     promoted.validate()
     assert promoted.ftree.roots[0].name == "n"
-    counts = [e.value for e in promoted.roots[0]]
+    counts = promoted.roots[0].values
     assert counts == sorted(counts)  # sorted by component tuple
 
 

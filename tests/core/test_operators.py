@@ -9,6 +9,7 @@ from repro.core.ftree import build_ftree
 from repro.query import Comparison
 from repro.relational.operators import multiway_join
 from repro.relational.relation import Relation
+from repro.core.frep import iter_entries
 
 
 @pytest.fixture()
@@ -42,7 +43,7 @@ def test_swap_partitions_dependent_children(pizza_fact):
 
 def test_swap_keeps_sorted_invariant(pizza_fact):
     swapped = ops.swap(pizza_fact, "date")
-    dates = [e.value for e in swapped.roots[0]]
+    dates = swapped.roots[0].values
     assert dates == sorted(dates)
     swapped.validate()
 
@@ -67,15 +68,15 @@ def test_swap_example2_right_branch_untouched(pizza_fact):
     up2.validate()
     # The item→price fragments are shared with the input (same objects),
     # i.e. the right branch of T1 was not rebuilt.
-    original_items = {
-        entry.value: entry.children[1] for entry in pizza_fact.roots[0]
-    }
+    original_items = dict(
+        zip(pizza_fact.roots[0].values, pizza_fact.roots[0].children[1])
+    )
     pizza_node = up2.ftree.node("pizza")
     item_slot = [c.name for c in pizza_node.children].index("item")
     shared = 0
-    for customer_entry in up2.roots[0]:
-        for pizza_entry in customer_entry.children[-1]:
-            if pizza_entry.children[item_slot] is original_items[pizza_entry.value]:
+    for pizzas in up2.roots[0].children[-1]:
+        for pizza, items in zip(pizzas.values, pizzas.children[item_slot]):
+            if items is original_items[pizza]:
                 shared += 1
     assert shared >= 3  # every pizza occurrence reuses its fragment
 
@@ -222,7 +223,7 @@ def test_select_constant_prunes_upward(pizza_fact):
         pizza_fact, Comparison("customer", "=", "Lucia")
     )
     # Only Hawaii remains at the root.
-    assert [e.value for e in selected.roots[0]] == ["Hawaii"]
+    assert selected.roots[0].values == ["Hawaii"]
 
 
 def test_select_constant_to_empty(pizza_fact):
@@ -344,7 +345,8 @@ def test_gamma_example4_t2(pizza_fact):
     names = result.ftree.attribute_names()
     assert names == ["pizza", "date", "customer", "sp"]
     by_pizza = {
-        e.value: e.children[1][0].value for e in result.roots[0]
+        value: children[1].values[0]
+        for value, children in iter_entries(result.roots[0])
     }
     assert by_pizza == {
         "Capricciosa": (8,),
@@ -377,7 +379,10 @@ def test_gamma_multiple_subtrees(pizza_fact):
     result = ops.apply_aggregation(
         pizza_fact, "pizza", ["date", "item"], [("count", None)], name="n"
     )
-    by_pizza = {e.value: e.children[0][0].value for e in result.roots[0]}
+    by_pizza = {
+        value: children[0].values[0]
+        for value, children in iter_entries(result.roots[0])
+    }
     assert by_pizza == {"Capricciosa": (6,), "Hawaii": (6,), "Margherita": (1,)}
 
 
@@ -389,7 +394,10 @@ def test_gamma_composite_functions(pizza_fact):
         [("sum", "price"), ("count", None), ("min", "price")],
         name="stats",
     )
-    by_pizza = {e.value: e.children[1][0].value for e in result.roots[0]}
+    by_pizza = {
+        value: children[1].values[0]
+        for value, children in iter_entries(result.roots[0])
+    }
     assert by_pizza["Capricciosa"] == (8, 3, 1)
     assert by_pizza["Margherita"] == (6, 1, 6)
 

@@ -313,3 +313,62 @@ def test_apply_validates_whole_delta_up_front():
             + Delta.insert("Items", [("bad", 1, 2)])
         )
     assert database.flat("Items").rows == rows
+
+
+# ---------------------------------------------------------------------------
+# The engine reads the maintained view itself
+# ---------------------------------------------------------------------------
+def test_engine_reads_maintained_columnar_view_without_conversion(monkeypatch):
+    """Workload views hold ``CUnion`` roots; after an insert and then a
+    delete on Orders the engine's input is the catalogue's own view
+    object, and the first read after each write equals ``rdb`` over the
+    base relations (the view unfolded into its defining join)."""
+    from dataclasses import replace
+
+    from repro import connect
+    from repro.core.engine import FDBEngine
+    from repro.core.frep import CUnion, Factorisation
+    from repro.data.workloads import WORKLOAD, build_workload_database
+
+    database = build_workload_database(scale=0.05, seed=5)
+    for name in ("R1", "R2", "R3"):
+        roots = database.get_factorised(name).roots
+        assert roots and all(type(union) is CUnion for union in roots), name
+
+    inputs = []
+    prepare = FDBEngine._prepare_inputs
+
+    def recording(self, query, db):
+        prepared = prepare(self, query, db)
+        inputs.append(prepared[0])
+        return prepared
+
+    def no_conversion(self):
+        raise AssertionError("a view was converted before reading")
+
+    monkeypatch.setattr(FDBEngine, "_prepare_inputs", recording)
+    monkeypatch.setattr(Factorisation, "to_columnar", no_conversion)
+
+    query = WORKLOAD["Q2"].query  # SUM(price) per customer over R1
+    unfolded = replace(query, relations=("Orders", "Packages", "Items"))
+    fdb = connect(database, engine="fdb")
+    oracle = connect(database, engine="rdb", cache=False)
+    orders = database.flat("Orders")
+    packages = {row[orders.schema.index("package")] for row in orders.rows}
+    package = sorted(packages)[0]
+    row = tuple(
+        {"customer": "c-ivm", "date": "d-ivm", "package": package}[a]
+        for a in orders.schema
+    )
+    for write, present in ((fdb.insert, True), (fdb.delete, False)):
+        write("Orders", [row])
+        assert (row in database.flat("Orders").rows) is present
+        assert database.maintenance.rebuilds == 0
+        inputs.clear()
+        result = fdb.execute(query)
+        view = database.get_factorised("R1")
+        assert len(inputs) == 1
+        assert inputs[0].roots == view.roots
+        assert all(a is b for a, b in zip(inputs[0].roots, view.roots))
+        expected = oracle.execute(unfolded)
+        assert sorted(result.rows) == sorted(expected.rows)

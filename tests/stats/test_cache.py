@@ -36,6 +36,26 @@ def test_repeat_lookup_hits_at_constant_version():
     assert _HIT._sample() == before + 1
 
 
+def test_databases_never_share_entries_when_ids_collide(monkeypatch):
+    """A freed database and a new one at the same address and version
+    must not share statistics.  Address reuse is simulated by making
+    ``id()`` constant inside the statistics modules rather than waiting
+    for the allocator to recycle an address."""
+    import repro.stats.cache as cache_module
+    import repro.stats.collect as collect_module
+
+    for module in (cache_module, collect_module):
+        monkeypatch.setattr(module, "id", lambda obj: 0, raising=False)
+    first = _database([(i, 0) for i in range(3)])
+    second = _database([(i, 0) for i in range(50)])
+    assert first.version == second.version
+    assert first.token != second.token
+    cache = StatsCache()
+    assert cache.relation_stats(first, "R").rows == 3
+    assert cache.relation_stats(second, "R").rows == 50
+    assert cache.relation_stats(second.snapshot(), "R").rows == 50
+
+
 def test_unknown_relation_returns_none():
     cache = StatsCache()
     assert cache.relation_stats(_database(), "nope") is None

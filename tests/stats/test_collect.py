@@ -1,6 +1,6 @@
 """Statistics collectors: exactness, scan-freeness, metrics recovery.
 
-The columnar/legacy walks must reproduce the ground truth computable
+The value-array walks must reproduce the ground truth computable
 from the flat rows (distinct counts, cardinality) while touching only
 union structure — asserted via the seed-source counters of
 ``repro_stats_cache_events_total``: a resident view never seeds from
@@ -43,20 +43,19 @@ def _ground_truth(relation):
     }
 
 
-def test_factorised_stats_match_flat_truth_both_layouts():
+def test_factorised_stats_match_flat_truth():
     relation = _example_relation()
     truth = _ground_truth(relation)
-    legacy = factorise(relation, _example_ftree(), check=True)
-    for fact, source in ((legacy, "legacy"), (legacy.to_columnar(), "columnar")):
-        stats = stats_from_factorisation("V", fact)
-        assert stats.source == source
-        assert stats.rows == len(relation.rows)
-        assert {
-            name: entry.distinct for name, entry in stats.attributes.items()
-        } == truth
-        singletons, resident = fact.size_info()
-        assert stats.singletons == singletons
-        assert stats.resident_bytes == resident
+    fact = factorise(relation, _example_ftree(), check=True)
+    stats = stats_from_factorisation("V", fact)
+    assert stats.source == "columnar"
+    assert stats.rows == len(relation.rows)
+    assert {
+        name: entry.distinct for name, entry in stats.attributes.items()
+    } == truth
+    singletons, resident = fact.size_info()
+    assert stats.singletons == singletons
+    assert stats.resident_bytes == resident
 
 
 def test_factorised_histogram_exposes_skew():
@@ -78,9 +77,7 @@ def test_resident_view_seeds_without_flat_scan():
     structure-only — the ``flat`` sampling counter does not move."""
     relation = _example_relation()
     database = Database([relation])
-    database.add_factorised(
-        "V", factorise(relation, _example_ftree()).to_columnar()
-    )
+    database.add_factorised("V", factorise(relation, _example_ftree()))
     stats_cache().clear()
     before = {
         source: child._sample() for source, child in _SEED_EVENTS.items()
