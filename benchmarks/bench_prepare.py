@@ -105,7 +105,11 @@ def rebinding_proof(database):
     )
     prepared.run(floor=0)
     rebound = prepared.run(floor=10)
-    return rebound.explain().splitlines()[-2:]
+    return [
+        line
+        for line in rebound.explain().splitlines()
+        if line.startswith(("prepared:", "timings:"))
+    ]
 
 
 def main(argv=None) -> int:

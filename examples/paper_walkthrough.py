@@ -9,7 +9,7 @@ Run:  python examples/paper_walkthrough.py
 
 from repro.core import operators as ops
 from repro.core.build import factorise, factorise_path
-from repro.core.enumerate import supports_grouping, supports_order
+from repro.core.enumerate import iter_tuples, supports_grouping, supports_order
 from repro.core.ftree import build_ftree
 from repro.data.pizzeria import pizzeria_relations, pizzeria_view, t1_ftree
 from repro.relational.relation import Relation
@@ -96,7 +96,7 @@ def main() -> None:
     total = ops.apply_aggregation(
         counted, None, ["pizza"], [("count", None)], name="count(pizza,item)"
     )
-    print(f"  count(pizza, item) = {next(iter(total.iter_tuples()))[0][0]} "
+    print(f"  count(pizza, item) = {next(iter_tuples(total))[0][0]} "
           "(not 3: the partial counts weigh in)")
 
     banner("Example 8 — the sum algorithm on the T4 factorisation")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.enumerate import iter_tuples
 from repro.core.frep import CUnion, Factorisation
 from repro.core.ftree import FNode, FTree, path_ftree
 from repro.relational.relation import Relation
@@ -61,7 +62,7 @@ def factorise(
         for node in ftree.roots
     ]
     fact = Factorisation(ftree, roots)
-    if check and sorted(fact.iter_tuples()) != sorted(
+    if check and sorted(iter_tuples(fact)) != sorted(
         _reorder(relation, fact.schema())
     ):
         raise FactoriseError(

@@ -32,6 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.core import aggregates as agg
@@ -49,7 +50,6 @@ from repro.core.frep import (
     CUnion,
     Factorisation,
     empty_factorisation,
-    iter_entries,
     map_cunion_at,
 )
 from repro.core.ftree import (
@@ -127,56 +127,17 @@ class FactorisedResult:
         inner_order = [
             key for key in self.order if key.attribute in fact.ftree
         ]
-        raw_schema = fact.schema()
-        aliases = {spec.alias: spec for spec in self.specs}
-        computed_by_alias = {
-            column.alias: column for column in self.computed
-        }
-        positions: list[int | None] = []
-        component_of: dict[int, AggregateSpec] = {}
-        computed_of: dict[int, Any] = {}
-        for out_index, name in enumerate(self.output_schema):
-            if self.aggregate_node is not None and name in aliases:
-                # An aggregate alias: resolved from the aggregate node's
-                # component tuple (the node may itself carry the alias).
-                positions.append(raw_schema.index(self.aggregate_node))
-                component_of[out_index] = aliases[name]
-            elif name in computed_by_alias:
-                column = computed_by_alias[name]
-                positions.append(None)
-                computed_of[out_index] = (
-                    column.expression,
-                    [
-                        (a, raw_schema.index(a))
-                        for a in column.source_attributes
-                    ],
-                )
-            else:
-                positions.append(raw_schema.index(name))
-
-        node = (
-            fact.ftree.node(self.aggregate_node)
-            if self.aggregate_node is not None
-            else None
+        aggregate = None
+        if self.aggregate_node is not None:
+            node = fact.ftree.node(self.aggregate_node)
+            aggregate = (self.aggregate_node, self.specs, node.aggregate.functions)
+        iterator = _shaped_rows(
+            iter_tuples(fact, inner_order),
+            fact.schema(),
+            self.output_schema,
+            self.computed,
+            aggregate,
         )
-        functions = node.aggregate.functions if node is not None else ()
-
-        def shape(row: tuple) -> tuple:
-            out = []
-            for out_index, position in enumerate(positions):
-                if position is None:
-                    expression, slots = computed_of[out_index]
-                    out.append(
-                        expression.evaluate({a: row[p] for a, p in slots})
-                    )
-                    continue
-                value = row[position]
-                if out_index in component_of:
-                    value = _spec_value(component_of[out_index], functions, value)
-                out.append(value)
-            return tuple(out)
-
-        iterator = (shape(row) for row in iter_tuples(fact, inner_order))
         if self.limit is not None:
             iterator = islice(iterator, self.limit)
         return iterator
@@ -185,26 +146,6 @@ class FactorisedResult:
         return Relation(
             self.output_schema, list(self.iter_tuples()), name=name or "result"
         )
-
-
-def _spec_value(
-    spec: AggregateSpec,
-    functions: Sequence[tuple[str, str | None]],
-    value: tuple,
-) -> Any:
-    """Extract one aggregate alias from a composite component tuple."""
-    if spec.function == "avg":
-        total = value[list(functions).index(("sum", spec.attribute))]
-        count = value[list(functions).index(("count", None))]
-        if not count:
-            return None  # SQL: AVG over zero rows is NULL
-        return total / count
-    index = list(functions).index(
-        (spec.function if spec.function != "avg" else "sum", spec.attribute)
-        if spec.function != "count"
-        else ("count", None)
-    )
-    return value[index]
 
 
 @dataclass(frozen=True)
@@ -766,28 +707,9 @@ class FDBEngine:
                     rows = rows[: query.limit]
                 return Relation(schema, rows, name=query.name or "result")
         want = query.limit if (query.limit is not None and not query.having) else None
-        group_sources = {
-            attr
-            for _, target in functions
-            for attr in _target_attributes(target)
-            if attr in query.group_by
-        }
-        for assignment, leftovers in iter_group_contexts(
-            fact, query.group_by, order
+        for assignment, components in _group_components(
+            fact, query.group_by, order, functions, evaluator, stats
         ):
-            if agg.forest_is_empty(leftovers):
-                continue  # a drained group context: no tuples, no row
-            if group_sources:
-                # An aggregate over a grouping attribute (e.g. SUM(g) ...
-                # GROUP BY g): the group's fixed value joins the forest
-                # as a one-entry fragment.  These fragments are fresh per
-                # context, so bypass the cache for them.
-                items = leftovers + _group_value_fragments(
-                    group_sources, assignment
-                )
-                components = agg.evaluate_components(functions, items, stats)
-            else:
-                components = evaluator.components(functions, leftovers)
             values = tuple(
                 _component_value(spec, functions, components)
                 for spec in query.aggregates
@@ -929,40 +851,21 @@ class FDBEngine:
             else raw_schema
         )
         out_schema = list(base_schema) + [c.alias for c in computed]
-        positions = [raw_schema.index(a) for a in base_schema]
+        rows = _shaped_rows(
+            iter_tuples(fact, order), raw_schema, out_schema, computed
+        )
         if computed:
-            expr_slots = [
-                (
-                    column.expression,
-                    [(a, raw_schema.index(a)) for a in column.source_attributes],
-                )
-                for column in computed
-            ]
 
-            def shape(row: tuple) -> tuple:
-                values = [row[p] for p in positions]
-                for expression, slots in expr_slots:
-                    values.append(
-                        expression.evaluate({a: row[p] for a, p in slots})
-                    )
-                return tuple(values)
-
-            def deduped() -> Iterator[tuple]:
+            def deduped(rows: Iterator[tuple]) -> Iterator[tuple]:
                 # π is set semantics: a non-injective expression can
                 # map distinct source tuples to equal output rows.
                 seen: set[tuple] = set()
-                for row in iter_tuples(fact, order):
-                    shaped = shape(row)
-                    if shaped not in seen:
-                        seen.add(shaped)
-                        yield shaped
+                for row in rows:
+                    if row not in seen:
+                        seen.add(row)
+                        yield row
 
-            rows = deduped()
-        else:
-            rows = (
-                tuple(row[p] for p in positions)
-                for row in iter_tuples(fact, order)
-            )
+            rows = deduped(rows)
         if alias_keys:
             rows = iter(sort_rows(list(rows), out_schema, query.order_by))
         if query.limit is not None:
@@ -1016,6 +919,53 @@ def _component_value(
     if spec.function == "count":
         return components[functions.index(("count", None))]
     return components[functions.index((spec.function, spec.attribute))]
+
+
+def _shaped_rows(
+    rows: Iterator[tuple],
+    raw_schema: Sequence[str],
+    output_schema: Sequence[str],
+    computed: Sequence = (),
+    aggregate: "tuple[str, Sequence[AggregateSpec], Sequence] | None" = None,
+) -> Iterator[tuple]:
+    """Map enumerated rows over ``raw_schema`` onto ``output_schema``.
+
+    Each output name is an aggregate alias, read from the component
+    tuple of the ``(node, specs, functions)`` aggregate node; a computed
+    column, evaluated from its source attributes; or a raw attribute,
+    copied by position.  Rows already in output shape pass untouched.
+    """
+    position = {name: index for index, name in enumerate(raw_schema)}
+    columns = {column.alias: column for column in computed}
+    node_name, specs, functions = aggregate or (None, (), ())
+    aliases = {spec.alias: spec for spec in specs}
+    positions: list[int | None] = []
+    getters: list = []
+    for name in output_schema:
+        if name in aliases:
+            positions.append(None)
+            getters.append(
+                lambda row, spec=aliases[name], slot=position[node_name]: (
+                    _component_value(spec, functions, row[slot])
+                )
+            )
+        elif name in columns:
+            column = columns[name]
+            slots = [(a, position[a]) for a in column.source_attributes]
+            positions.append(None)
+            getters.append(
+                lambda row, expression=column.expression, slots=slots: (
+                    expression.evaluate({a: row[p] for a, p in slots})
+                )
+            )
+        else:
+            positions.append(position[name])
+            getters.append(itemgetter(position[name]))
+    if positions == list(range(len(raw_schema))):
+        return rows
+    if len(positions) > 1 and None not in positions:
+        return map(itemgetter(*positions), rows)
+    return (tuple(get(row) for get in getters) for row in rows)
 
 
 def _target_attributes(target) -> tuple[str, ...]:
@@ -1245,9 +1195,11 @@ def _collapse_partials(
 ) -> tuple[Factorisation, str]:
     """Replace leftover fragments with one final aggregate node.
 
-    Walks the linearised group path; fragments hanging off the path are
-    accumulated as pending partials and folded into a single value per
-    deepest group context using the cached evaluators.
+    The group region is the linearised path from one root; every
+    non-drained group context becomes one path of entries ending in a
+    single aggregate value, folded from the context's leftover
+    fragments by the cached evaluators.  Contexts arrive in path order,
+    so each path union is built by appending.
     """
     tree = fact.ftree
     group_set = set(group_order)
@@ -1259,109 +1211,97 @@ def _collapse_partials(
             over |= set(node.aggregate.over)
         else:
             over |= {a for a in node.attributes if a not in group_set}
-
-    def is_group(node: FNode) -> bool:
-        return bool(set(node.all_names) & group_set)
-
-    # Split roots into the group path root and context-free partials.
-    path_roots = [
-        (node, union)
-        for node, union in zip(tree.roots, fact.roots)
-        if is_group(node)
-    ]
-    free_items = [
-        (node, union)
-        for node, union in zip(tree.roots, fact.roots)
-        if not is_group(node)
-    ]
-    if len(path_roots) > 1:
-        raise QueryError("group region is not linearised")
-
     functions = tuple(functions)
     fresh_key = f"__dep_final_{name}"
-    group_sources = {
-        attr
-        for _, target in functions
-        for attr in _target_attributes(target)
-        if attr in group_set
-    }
-    assignment: dict[str, Any] = {}
-
-    def rebuild(node: FNode, union: CUnion, pending) -> tuple[FNode, CUnion]:
-        group_children = [i for i, c in enumerate(node.children) if is_group(c)]
-        other_children = [i for i, c in enumerate(node.children) if not is_group(c)]
-        new_values: list = []
-        new_col: list[CUnion] = []
-        new_child_node: FNode | None = None
-        for value, entry_children in iter_entries(union):
-            for attr in node.attributes:
-                if attr in group_sources:
-                    assignment[attr] = value
-            entry_pending = pending + [
-                (node.children[i], entry_children[i]) for i in other_children
-            ]
-            if group_children:
-                child_index = group_children[0]
-                child_node, child_union = (
-                    node.children[child_index],
-                    entry_children[child_index],
-                )
-                new_child_node, new_child_union = rebuild(
-                    child_node, child_union, entry_pending
-                )
-                if not new_child_union:
-                    continue
-                new_values.append(value)
-                new_col.append(new_child_union)
-            else:
-                items = entry_pending
-                if agg.forest_is_empty(items):
-                    continue  # drained group context: contributes no row
-                if group_sources:
-                    # Aggregates over grouping attributes read the fixed
-                    # path values (cannot be cached across contexts).
-                    items = entry_pending + _group_value_fragments(
-                        group_sources, assignment
-                    )
-                    components = agg.evaluate_components(functions, items, stats)
-                else:
-                    components = evaluator.components(functions, items)
-                new_values.append(value)
-                new_col.append(CUnion([components], ()))
-                new_child_node = FNode(
-                    AggregateAttribute(functions, frozenset(over), name),
-                    (),
-                    {fresh_key},
-                )
-        if new_child_node is None:
-            # Empty union: still need a consistent node shape.
-            new_child_node = FNode(
-                AggregateAttribute(functions, frozenset(over), name),
-                (),
-                {fresh_key},
-            )
-        rebuilt = FNode(
-            node.attributes if node.aggregate is None else node.aggregate,
-            (new_child_node,),
-            node.keys | {fresh_key},
-        )
-        return rebuilt, CUnion(new_values, (new_col,))
-
+    shape = FNode(
+        AggregateAttribute(functions, frozenset(over), name), (), {fresh_key}
+    )
     if not group_order:
-        if agg.forest_is_empty(free_items):
+        items = list(zip(tree.roots, fact.roots))
+        if agg.forest_is_empty(items):
             # Ungrouped aggregates over zero rows: NULL components
             # (counts stay 0) per SQL semantics.
             value = agg.empty_aggregate_components(functions)
         else:
-            value = evaluator.components(functions, free_items)
-        node = FNode(
-            AggregateAttribute(functions, frozenset(over), name), (), {fresh_key}
-        )
-        return Factorisation(FTree([node]), [CUnion([value], ())]), name
+            value = evaluator.components(functions, items)
+        return Factorisation(FTree([shape]), [CUnion([value], ())]), name
 
-    root_node, root_union = path_roots[0]
-    new_root, new_union = rebuild(root_node, root_union, free_items)
-    return Factorisation(FTree([new_root]), [new_union]), name
+    path = [
+        node for node in tree.nodes() if not group_set.isdisjoint(node.all_names)
+    ]
+    if any(tree.parent(node) is not up for node, up in zip(path, [None, *path])):
+        raise QueryError("group region is not linearised")
+    keys = [next(n for n in node.all_names if n in group_set) for node in path]
+    # unions[d] holds the values and child column of the open union at
+    # depth d of the path.
+    unions: list[tuple[list, list]] = [([], []) for _ in path]
+
+    def close(depth: int) -> None:
+        """Hang the open unions below ``depth`` into their parents."""
+        for d in range(len(path) - 1, depth, -1):
+            values, column = unions[d]
+            unions[d - 1][1].append(CUnion(values, (column,)))
+            unions[d] = ([], [])
+
+    previous: list = []
+    for assignment, components in _group_components(
+        fact, group_order, (), functions, evaluator, stats
+    ):
+        values = [assignment[key] for key in keys]
+        depth = 0
+        if previous:
+            while values[depth] == previous[depth]:
+                depth += 1
+            close(depth)
+        for d in range(depth, len(path)):
+            unions[d][0].append(values[d])
+        unions[-1][1].append(CUnion([components], ()))
+        previous = values
+    if previous:
+        close(0)
+    for node in reversed(path):
+        shape = FNode(
+            node.attributes if node.aggregate is None else node.aggregate,
+            (shape,),
+            node.keys | {fresh_key},
+        )
+    root_values, root_column = unions[0]
+    return (
+        Factorisation(FTree([shape]), [CUnion(root_values, (root_column,))]),
+        name,
+    )
+
+
+def _group_components(
+    fact: Factorisation,
+    group: Sequence[str],
+    order: Sequence[SortKey],
+    functions: Sequence,
+    evaluator: "agg.CachedEvaluator",
+    stats: "agg.ExpressionStats | None",
+) -> Iterator[tuple[dict[str, Any], tuple]]:
+    """Aggregate components per group context (Example 1, case 3).
+
+    Drained contexts — no tuples below the assignment — are skipped.
+    """
+    group_sources = {
+        attr
+        for _, target in functions
+        for attr in _target_attributes(target)
+        if attr in group
+    }
+    for assignment, leftovers in iter_group_contexts(fact, group, order):
+        if agg.forest_is_empty(leftovers):
+            continue
+        if group_sources:
+            # An aggregate over a grouping attribute (e.g. SUM(g) ...
+            # GROUP BY g): the group's fixed value joins the forest as a
+            # one-entry fragment.  These fragments are fresh per
+            # context, so bypass the cache for them.
+            items = leftovers + _group_value_fragments(group_sources, assignment)
+            yield assignment, agg.evaluate_components(functions, items, stats)
+        else:
+            yield assignment, evaluator.components(functions, leftovers)
 
 
 def _project_to(fact: Factorisation, kept: set[str]) -> Factorisation:

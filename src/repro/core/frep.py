@@ -19,9 +19,11 @@ with the values (struct-of-arrays).  Operators and aggregate evaluators
 make one Python-level pass per union instead of one per value.
 
 The container :class:`Factorisation` pairs an f-tree with one union per
-root and provides size accounting, flattening, and validation.  The
-structures are treated as immutable: operators build new spines and
-share unchanged fragments, so registered views can serve many queries.
+root and provides size accounting, validation and display.  Its tuples
+are enumerated (also by :meth:`Factorisation.to_relation`) by the one
+enumerator of :mod:`repro.core.enumerate`.  The structures are treated
+as immutable: operators build new spines and share unchanged
+fragments, so registered views can serve many queries.
 """
 
 from __future__ import annotations
@@ -105,13 +107,6 @@ def iter_entries(union: CUnion) -> Iterator[tuple[Any, tuple]]:
     else:
         for i, value in enumerate(values):
             yield value, tuple(col[i] for col in cols)
-
-
-def _value_tuple(node: FNode, value: Any) -> tuple:
-    """The output values one entry contributes (class attrs repeated)."""
-    if node.is_aggregate:
-        return (value,)
-    return (value,) * len(node.attributes)
 
 
 class Factorisation:
@@ -228,39 +223,11 @@ class Factorisation:
             else False
         )
 
-    # ------------------------------------------------------------------
-    # Flattening
-    # ------------------------------------------------------------------
-    def iter_tuples(self) -> Iterator[tuple]:
-        """Enumerate the represented tuples (no particular order).
-
-        The delay between consecutive tuples is constant in data size:
-        the iterator hierarchy mirrors the f-tree (Section 4.1).
-        """
-        nodes = self.ftree.roots
-
-        def iter_forest(
-            items: Sequence[tuple[FNode, CUnion]]
-        ) -> Iterator[tuple]:
-            if not items:
-                yield ()
-                return
-            (node, union), rest = items[0], items[1:]
-            cols = union.children
-            child_nodes = node.children
-            span = range(len(cols))
-            for i, value in enumerate(union.values):
-                prefix_values = _value_tuple(node, value)
-                children = [(child_nodes[c], cols[c][i]) for c in span]
-                for mid in iter_forest(children):
-                    for suffix in iter_forest(rest):
-                        yield prefix_values + mid + suffix
-
-        yield from iter_forest(list(zip(nodes, self.roots)))
-
     def to_relation(self, name: str = "") -> Relation:
-        """Materialise the represented relation (flat output)."""
-        return Relation(self.schema(), list(self.iter_tuples()), name=name or "⟦E⟧")
+        """Materialise the represented relation (rows in no promised order)."""
+        from repro.core.enumerate import iter_tuples  # enumerate → operators → frep
+
+        return Relation(self.schema(), list(iter_tuples(self)), name=name or "⟦E⟧")
 
     # ------------------------------------------------------------------
     # Validation (used by tests and debug paths)

@@ -788,7 +788,7 @@ class Database:
     def _current_rows(self, name: str, schema: Sequence[str]) -> list[tuple]:
         if name in self.relations or name in self._stale_flat:
             return list(self.flat(name).rows)
-        return list(self.factorised[name].iter_tuples())
+        return self.factorised[name].to_relation().rows
 
     def _maintain_views(
         self, name: str, kind: str, rows: list[tuple], schema: Sequence[str]

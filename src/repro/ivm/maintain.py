@@ -44,10 +44,10 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.core.aggregates import count_union
 from repro.core.build import factorise
+from repro.core.enumerate import iter_tuples
 from repro.core.frep import (
     CUnion,
     Factorisation,
-    _value_tuple,
     empty_cunion,
     iter_entries,
     singleton_cunion,
@@ -182,25 +182,13 @@ def _from_entries(entries: Sequence[tuple], arity: int) -> CUnion:
 # Enumeration helpers (local deltas are exact row sets)
 # ---------------------------------------------------------------------------
 def _iter_union(node: FNode, union) -> Iterator[Row]:
-    for value, children in iter_entries(union):
-        yield from _iter_parts(node, value, children)
+    """The rows of one fragment, in ``node``'s subtree pre-order."""
+    return iter_tuples(Factorisation(FTree([node]), [union]))
 
 
 def _iter_parts(node: FNode, value: Any, children: Sequence) -> Iterator[Row]:
-    values = _value_tuple(node, value)
-    for rest in _iter_children(node.children, children):
-        yield values + rest
-
-
-def _iter_children(
-    nodes: Sequence[FNode], unions: Sequence
-) -> Iterator[Row]:
-    if not nodes:
-        yield ()
-        return
-    for head in _iter_union(nodes[0], unions[0]):
-        for rest in _iter_children(nodes[1:], unions[1:]):
-            yield head + rest
+    """The rows of one entry: ``value`` times its child fragments."""
+    return _iter_union(node, singleton_cunion(value, children))
 
 
 def _parts_count(node: FNode, children: Sequence) -> int:
@@ -221,7 +209,7 @@ def _expand_below(
     """Entry-level delta rows: the branch delta × the sibling fragments."""
     if not delta_rows:
         return []
-    values = _value_tuple(node, value)
+    values = (value,) * len(node.all_names)
     per_child: list[list[Row]] = []
     for index, (child_node, child_union) in enumerate(
         zip(node.children, children)

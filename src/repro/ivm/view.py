@@ -203,7 +203,7 @@ class LiveView:
         return True
 
     @staticmethod
-    def _spec_value(spec, binding: dict) -> Any:
+    def _input_value(spec, binding: dict) -> Any:
         target = spec.attribute
         if target is None:
             return 1
@@ -231,7 +231,7 @@ class LiveView:
             function = spec.function
             if function == "count":
                 continue  # derived from support
-            value = self._spec_value(spec, binding)
+            value = self._input_value(spec, binding)
             current = group.accumulators[index]
             if function == "sum":
                 group.accumulators[index] = (
@@ -275,7 +275,7 @@ class LiveView:
             if slot is None or not self._passes(binding):
                 continue
             for index, spec in extremal:
-                value = self._spec_value(spec, binding)
+                value = self._input_value(spec, binding)
                 if slot[index] is None:
                     slot[index] = value
                 elif spec.function == "min":

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.build import FactoriseError, factorise, factorise_path
+from repro.core.enumerate import iter_tuples
 from repro.core.ftree import build_ftree, path_ftree
 from repro.relational.operators import multiway_join
 from repro.relational.relation import Relation
@@ -82,7 +83,7 @@ def test_equivalence_class_requires_equal_values():
 def test_equivalence_class_build_ok():
     tree = build_ftree([(("a", "b"), ["c"])], keys={"a": {"r"}, "c": {"r"}})
     fact = factorise(Relation(("a", "b", "c"), [(1, 1, 5), (2, 2, 6)]), tree)
-    assert sorted(fact.iter_tuples()) == [(1, 1, 5), (2, 2, 6)]
+    assert sorted(iter_tuples(fact)) == [(1, 1, 5), (2, 2, 6)]
 
 
 def test_forest_build_product_decomposition():

@@ -157,7 +157,10 @@ def test_factorised_result_properties(pizzeria):
     result = fdbf.execute(q, pizzeria)
     assert isinstance(result, FactorisedResult)
     assert result.output_schema == ("customer", "pizza", "rev")
-    assert result.size() > 0
+    # customer → pizza → aggregate, sorted and shared per prefix: three
+    # customers, four (customer, pizza) groups, four aggregate values.
+    result.factorisation.validate()
+    assert result.size() == 3 + 4 + 4
     rows = list(result.iter_tuples())
     assert all(len(row) == 3 for row in rows)
 

@@ -13,6 +13,8 @@ from repro.core.enumerate import (
     supports_grouping,
     supports_order,
 )
+from repro.core.frep import CUnion, Factorisation
+from repro.core.ftree import FTree, path_ftree
 from repro.relational.operators import multiway_join
 from repro.relational.relation import Relation
 from repro.relational.sort import SortKey, sort_rows
@@ -222,3 +224,90 @@ def test_constant_delay_prefix_cheap():
     elapsed = time.perf_counter() - start
     assert len(first) == 10
     assert elapsed < 0.1  # far below a full enumeration
+
+
+# ---------------------------------------------------------------------------
+# The one enumerator on less common shapes
+# ---------------------------------------------------------------------------
+def test_aggregate_node_fills_one_slot(pizza_fact):
+    """An aggregate node contributes its component tuple as one value."""
+    fact = ops.apply_aggregation(
+        pizza_fact, "pizza", ["item"], [("sum", "price")], name="sp"
+    )
+    schema = fact.schema()
+    rows = list(iter_tuples(fact, [("pizza", "desc")]))
+    assert rows == sort_rows(rows, schema, [("pizza", "desc")])
+    prices = {row[schema.index("pizza")]: row[schema.index("sp")] for row in rows}
+    assert prices == {"Capricciosa": (8,), "Hawaii": (9,), "Margherita": (6,)}
+    assert len(rows) == fact.tuple_count()
+
+
+def test_merged_class_fills_every_name():
+    """One node with two names: both slots carry the entry's value, and
+    the node runs in the direction of its earliest order key."""
+    left = factorise_path(Relation(("a", "x"), [(1, 7), (2, 8), (3, 9)]), "R")
+    right = factorise_path(Relation(("b", "y"), [(2, 5), (3, 6), (4, 4)]), "S")
+    merged = ops.merge_siblings(ops.product(left, right), "a", "b")
+    schema = merged.schema()
+    assert sorted(schema) == ["a", "b", "x", "y"]
+    rows = list(iter_tuples(merged, [("b", "asc"), ("a", "desc")]))
+    as_dicts = [dict(zip(schema, row)) for row in rows]
+    assert [(d["a"], d["b"], d["x"], d["y"]) for d in as_dicts] == [
+        (2, 2, 8, 5),
+        (3, 3, 9, 6),
+    ]
+
+
+def test_descending_key_on_non_root_node(pizza_fact):
+    order = ["pizza", ("item", "desc")]
+    rows = list(iter_tuples(pizza_fact, order))
+    assert rows == sort_rows(rows, pizza_fact.schema(), order)
+    item = pizza_fact.schema().index("item")
+    # Capricciosa: each item once per (date, customer) pair, items backwards.
+    assert [row[item] for row in rows[:6]] == [
+        "mushrooms", "mushrooms", "ham", "ham", "base", "base"
+    ]
+
+
+def test_drained_group_context_keeps_its_empty_fragment():
+    """An entry whose child fragment is empty still yields a group
+    context (the engine skips it); it contributes no tuples."""
+    tree = path_ftree(("a", "b"), "R")
+    root = CUnion([1, 2], ([CUnion([5]), CUnion([])],))
+    fact = Factorisation(tree, [root])
+    contexts = list(iter_group_contexts(fact, ["a"]))
+    assert [assignment for assignment, _ in contexts] == [{"a": 1}, {"a": 2}]
+    assert [
+        [(node.name, union.values) for node, union in leftovers]
+        for _, leftovers in contexts
+    ] == [[("b", [5])], [("b", [])]]
+    assert list(iter_tuples(fact)) == [(1, 5)]
+
+
+GROUP_CASES = [
+    (["pizza"], [("pizza", "desc")]),
+    (["pizza", "date"], ["pizza", ("date", "desc")]),
+    (["date", "pizza", "customer"], [("pizza", "desc"), "date", "customer"]),
+    (["item", "pizza"], ["pizza", "item"]),
+    (["pizza", "item", "price"], [("pizza", "desc"), ("item", "desc")]),
+]
+
+
+@pytest.mark.parametrize("group, order", GROUP_CASES)
+def test_group_contexts_ordered_and_complete(pizza_fact, group, order):
+    """Assignments come out in order, and the leftover fragments of all
+    contexts together hold exactly the tuples of the factorisation."""
+    contexts = list(iter_group_contexts(pizza_fact, group, order))
+    assignments = [
+        tuple(assignment[name] for name in group) for assignment, _ in contexts
+    ]
+    assert assignments == sort_rows(assignments, group, order)
+    assert len(set(assignments)) == len(assignments)
+    total = sum(
+        Factorisation(
+            FTree([node for node, _ in leftovers]),
+            [union for _, union in leftovers],
+        ).tuple_count()
+        for _, leftovers in contexts
+    )
+    assert total == pizza_fact.tuple_count()

@@ -74,7 +74,7 @@ def test_example1_scenario2_restructure_and_partials(view):
     final = ops.apply_aggregation(
         t4, "customer", ["pizza"], [("sum", "price")], name="revenue"
     )
-    assert sorted(final.iter_tuples()) == [
+    assert sorted(iter_tuples(final)) == [
         ("Lucia", (9,)),
         ("Mario", (22,)),
         ("Pietro", (9,)),
@@ -164,7 +164,7 @@ def test_example7_composition_equivalence(view):
     direct = ops.apply_aggregation(
         direct, "customer", ["pizza"], [("sum", "price")], name="rev"
     )
-    assert sorted(staged.iter_tuples()) == sorted(direct.iter_tuples())
+    assert sorted(iter_tuples(staged)) == sorted(iter_tuples(direct))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_example11_alternative_plan(pizzeria_rels):
     plan_b = ops.apply_aggregation(
         plan_b, "customer", ["date"], [("sum", "price")], name="revenue"
     )
-    assert sorted(plan_a.iter_tuples()) == sorted(plan_b.iter_tuples())
+    assert sorted(iter_tuples(plan_a)) == sorted(iter_tuples(plan_b))
 
 
 def test_final_ftree_of_example1(view):

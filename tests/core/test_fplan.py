@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.build import factorise
+from repro.core.enumerate import iter_tuples
 from repro.core.fplan import (
     AbsorbStep,
     AggregateStep,
@@ -50,7 +51,7 @@ def test_trace_records_sizes(pizza_fact):
 def test_select_step(pizza_fact):
     plan = FPlan([SelectStep(Comparison("price", "=", 6))])
     out = plan.execute(pizza_fact)
-    values = {row[-1] for row in out.iter_tuples()}
+    values = {row[-1] for row in iter_tuples(out)}
     assert values == {6}
     # Tree shape is unchanged by constant selections.
     assert plan.simulate(pizza_fact.ftree)[-1] is pizza_fact.ftree
@@ -79,11 +80,11 @@ def test_merge_and_absorb_steps():
     s = factorise_path(Relation(("b",), [(2,), (3,)]), "S")
     fact = ops.product(r, s)
     out = FPlan([MergeStep("a", "b")]).execute(fact)
-    assert sorted(out.iter_tuples()) == [(2, 2)]
+    assert sorted(iter_tuples(out)) == [(2, 2)]
 
     t = factorise_path(Relation(("x", "y"), [(1, 1), (1, 2)]), "T")
     out = FPlan([AbsorbStep("x", "y")]).execute(t)
-    assert sorted(out.iter_tuples()) == [(1, 1)]
+    assert sorted(iter_tuples(out)) == [(1, 1)]
 
 
 def test_plan_str_and_len(pizza_fact):

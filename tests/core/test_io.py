@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import operators as ops
 from repro.core.build import factorise, factorise_path
+from repro.core.enumerate import iter_tuples
 from repro.core.io import (
     SerialisationError,
     dumps,
@@ -53,7 +54,7 @@ def test_roundtrip_with_aggregate_values(pizza_fact):
         pizza_fact, "pizza", ["item"], [("sum", "price"), ("count", None)], name="sp"
     )
     restored = loads(dumps(aggregated))
-    assert list(restored.iter_tuples()) == list(aggregated.iter_tuples())
+    assert list(iter_tuples(restored)) == list(iter_tuples(aggregated))
 
 
 def test_file_roundtrip(tmp_path, pizza_fact):

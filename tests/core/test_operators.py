@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import operators as ops
 from repro.core.build import factorise, factorise_path
+from repro.core.enumerate import iter_tuples
 from repro.core.frep import Factorisation
 from repro.core.ftree import build_ftree
 from repro.query import Comparison
@@ -105,7 +106,7 @@ def test_merge_roots():
     fact = ops.product(factorise_path(r, "R"), factorise_path(s, "S"))
     merged = ops.merge_siblings(fact, "a", "b")
     merged.validate()
-    assert sorted(merged.iter_tuples()) == [(2, 2), (3, 3)]
+    assert sorted(iter_tuples(merged)) == [(2, 2), (3, 3)]
     node = merged.ftree.node("a")
     assert set(node.attributes) == {"a", "b"}
 
@@ -119,7 +120,7 @@ def test_merge_computes_join():
     merged = ops.merge_siblings(fact, "a", "b")
     # Merged class (a, b) emits the shared value for both attributes.
     assert merged.schema() == ["a", "b", "x", "y"]
-    assert sorted(merged.iter_tuples()) == [(2, 2, 20, 5), (2, 2, 21, 5)]
+    assert sorted(iter_tuples(merged)) == [(2, 2, 20, 5), (2, 2, 21, 5)]
 
 
 def test_merge_non_siblings_rejected(pizza_fact):
@@ -146,7 +147,7 @@ def test_merge_under_common_parent():
         (a, b, b)
         for a, b in {(1, 5), (1, 6), (2, 7)}
     )
-    assert sorted(merged.iter_tuples()) == expected
+    assert sorted(iter_tuples(merged)) == expected
 
 
 def test_merge_prunes_empty_contexts():
@@ -158,7 +159,7 @@ def test_merge_prunes_empty_contexts():
     fact = factorise(relation, tree)
     merged = ops.merge_siblings(fact, "b", "c")
     # a=1 has no b=c match and must disappear entirely.
-    assert sorted(merged.iter_tuples()) == [(2, 7, 7)]
+    assert sorted(iter_tuples(merged)) == [(2, 7, 7)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def test_absorb_descendant():
     fact = factorise_path(relation, "R")  # a → b
     absorbed = ops.absorb(fact, "a", "b")
     absorbed.validate()
-    assert sorted(absorbed.iter_tuples()) == [(1, 1), (2, 2)]
+    assert sorted(iter_tuples(absorbed)) == [(1, 1), (2, 2)]
     node = absorbed.ftree.node("a")
     assert set(node.attributes) == {"a", "b"}
     assert not node.children
@@ -184,7 +185,7 @@ def test_absorb_deep_descendant():
     absorbed.validate()
     # b joins a's class, so the schema becomes (a, b, m).
     assert absorbed.schema() == ["a", "b", "m"]
-    assert sorted(absorbed.iter_tuples()) == [(1, 1, 9), (2, 2, 8)]
+    assert sorted(iter_tuples(absorbed)) == [(1, 1, 9), (2, 2, 8)]
     # b's children (none) hoisted; m keeps its place under the merged node.
     assert absorbed.ftree.node("m").name == "m"
 
@@ -201,7 +202,7 @@ def test_absorb_hoists_children():
     fact = factorise_path(relation, "R")  # a → b → c
     absorbed = ops.absorb(fact, "a", "b")
     absorbed.validate()
-    assert sorted(absorbed.iter_tuples()) == [(1, 1, 5), (2, 2, 6)]
+    assert sorted(iter_tuples(absorbed)) == [(1, 1, 5), (2, 2, 6)]
     merged = absorbed.ftree.node("a")
     assert [c.name for c in merged.children] == ["c"]
 
@@ -213,9 +214,9 @@ def test_select_constant(pizza_fact):
     selected = ops.select_constant(pizza_fact, Comparison("price", "<=", 2))
     selected.validate()
     expected = {
-        row for row in pizza_fact.iter_tuples() if row[4] <= 2
+        row for row in iter_tuples(pizza_fact) if row[4] <= 2
     }
-    assert set(selected.iter_tuples()) == expected
+    assert set(iter_tuples(selected)) == expected
 
 
 def test_select_constant_prunes_upward(pizza_fact):
@@ -231,7 +232,7 @@ def test_select_constant_to_empty(pizza_fact):
         pizza_fact, Comparison("customer", "=", "Nobody")
     )
     assert selected.is_empty()
-    assert list(selected.iter_tuples()) == []
+    assert list(iter_tuples(selected)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +273,7 @@ def test_remove_class_attribute():
     )
     dropped = ops.remove_class_attribute(fact, "b")
     assert dropped.schema() == ["a", "c"]
-    assert sorted(dropped.iter_tuples()) == [(1, 5), (2, 6)]
+    assert sorted(iter_tuples(dropped)) == [(1, 5), (2, 6)]
 
 
 def test_remove_class_attribute_requires_class(pizza_fact):
@@ -299,7 +300,7 @@ def test_product_disjoint_forests():
     left = factorise_path(Relation(("a",), [(1,)]), "L")
     right = factorise_path(Relation(("b",), [(2,)]), "R")
     combined = ops.product(left, right)
-    assert list(combined.iter_tuples()) == [(1, 2)]
+    assert list(iter_tuples(combined)) == [(1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +325,7 @@ def test_nest_root_under():
     fact = ops.product(left, right)
     nested = ops.nest_root_under(fact, "b", "a")
     nested.validate()
-    assert sorted(nested.iter_tuples()) == [(1, 5), (1, 6), (2, 5), (2, 6)]
+    assert sorted(iter_tuples(nested)) == [(1, 5), (1, 6), (2, 5), (2, 6)]
     assert len(nested.ftree.roots) == 1
 
 
@@ -370,7 +371,7 @@ def test_gamma_root_level(pizza_fact):
     result = ops.apply_aggregation(
         pizza_fact, None, ["pizza"], [("sum", "price")], name="total"
     )
-    assert list(result.iter_tuples()) == [((40,),)]
+    assert list(iter_tuples(result)) == [((40,),)]
 
 
 def test_gamma_multiple_subtrees(pizza_fact):
@@ -412,7 +413,7 @@ def test_gamma_example6_count_of_count(pizzeria_rels):
     total = ops.apply_aggregation(
         counted, None, ["pizza"], [("count", None)], name="call"
     )
-    assert list(total.iter_tuples()) == [((7,),)]
+    assert list(iter_tuples(total)) == [((7,),)]
 
 
 def test_gamma_requires_subtree(pizza_fact):
@@ -451,4 +452,4 @@ def test_gamma_sum_over_count_partial(pizza_fact):
     composed = ops.apply_aggregation(
         partial, None, ["pizza"], [("sum", "price")], name="s"
     )
-    assert list(direct.iter_tuples()) == list(composed.iter_tuples())
+    assert list(iter_tuples(direct)) == list(iter_tuples(composed))

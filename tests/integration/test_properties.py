@@ -152,27 +152,49 @@ def test_factorised_output_matches_rdb(pair):
     assert_same_relation(result.to_relation(), reference)
 
 
-@given(
-    relations(),
-    st.permutations(["a", "b", "c"]),
-    st.tuples(st.booleans(), st.booleans(), st.booleans()),
-)
-@SETTINGS
-def test_ordered_enumeration_equals_sorting(relation, perm, directions):
-    order = [
-        (attr, "desc" if desc else "asc")
-        for attr, desc in zip(perm, directions)
+@st.composite
+def enumeration_inputs(draw):
+    """A factorisation and its tuples as dicts: a path f-tree, a
+    branching one (two paths merged on b into one class node) or a
+    two-root product."""
+    shape = draw(st.sampled_from(["path", "branching", "product"]))
+    if shape == "path":
+        relation = draw(relations())
+        return factorise_path(relation, "R"), relation.as_dicts()
+    r, s = draw(joined_pair())
+    fact = ops.product(
+        factorise_path(r.rename({"b": "b1"}), "R", order=["b1", "a"]),
+        factorise_path(s.rename({"b": "b2"}), "S", order=["b2", "c"]),
+    )
+    pairs = [(left, right) for left in r.rows for right in s.rows]
+    if shape == "branching":
+        fact = ops.merge_siblings(fact, "b1", "b2")
+        pairs = [(left, right) for left, right in pairs if left[1] == right[0]]
+    return fact, [
+        {"a": a, "b1": b1, "b2": b2, "c": c} for (a, b1), (b2, c) in pairs
     ]
-    fact = factorise_path(relation, "R")
+
+
+@given(enumeration_inputs(), st.data())
+@SETTINGS
+def test_ordered_enumeration_equals_sorting(case, data):
+    fact, tuples = case
+    attributes = data.draw(st.permutations(fact.schema()))
+    width = data.draw(st.integers(min_value=0, max_value=len(attributes)))
+    order = [
+        (attr, data.draw(st.sampled_from(["asc", "desc"])))
+        for attr in attributes[:width]
+    ]
     for child in restructure_for_order(fact.ftree, order):
         fact = ops.swap(fact, child)
+    schema = fact.schema()
     rows = list(iter_tuples(fact, order))
-    expected = sort_rows(
-        relation.project(fact.schema(), dedup=False).rows,
-        fact.schema(),
-        order,
+    assert sorted(rows) == sorted(
+        tuple(values[name] for name in schema) for values in tuples
     )
-    assert rows == expected
+    assert rows == sort_rows(rows, schema, order)
+    limit = data.draw(st.integers(min_value=0, max_value=len(rows) + 1))
+    assert list(iter_tuples(fact, order, limit)) == rows[:limit]
 
 
 @given(relations(), values)

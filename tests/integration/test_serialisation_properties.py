@@ -7,6 +7,7 @@ from repro.core import operators as ops
 from repro.core.advisor import enumerate_ftrees
 from repro.core.build import factorise_path
 from repro.core.cost import Hypergraph
+from repro.core.enumerate import iter_tuples
 from repro.core.io import dumps, loads
 from repro.relational.relation import Relation
 
@@ -54,7 +55,7 @@ def test_serialisation_roundtrip_after_aggregation(relation):
         fact, "a", ["b"], [("count", None)], name="n"
     )
     restored = loads(dumps(aggregated))
-    assert list(restored.iter_tuples()) == list(aggregated.iter_tuples())
+    assert list(iter_tuples(restored)) == list(iter_tuples(aggregated))
 
 
 @st.composite

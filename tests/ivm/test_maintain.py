@@ -9,6 +9,7 @@ independence assumptions allow it.
 
 import pytest
 
+from repro.core.enumerate import iter_tuples
 from repro.data.pizzeria import pizzeria_database
 from repro.database import Database
 from repro.ivm.delta import Delta, DeltaError
@@ -26,7 +27,7 @@ def _expected_view(database: Database) -> set:
 
 
 def _fact_rows(database: Database, name: str = "R") -> set:
-    return set(database.get_factorised(name).iter_tuples())
+    return set(iter_tuples(database.get_factorised(name)))
 
 
 def assert_view_consistent(database: Database) -> None:
@@ -209,7 +210,7 @@ def test_direct_branch_violation_falls_back_to_path_tree():
     fact = database.get_factorised("R")
     assert all(len(node.children) <= 1 for node in fact.ftree.nodes())
     flat = set(database.flat("R").project(fact.schema(), dedup=False).rows)
-    assert set(fact.iter_tuples()) == flat
+    assert set(iter_tuples(fact)) == flat
     # Dependency keys survive, so routed maintenance keeps working.
     database.insert("Orders", [("Lucia", "Monday", "Margherita")])
     assert database.maintenance.rebuilds == 1  # still just the one
@@ -227,9 +228,9 @@ def test_direct_delete_violation_falls_back():
     stats = database.maintenance
     assert stats.rebuilds == 1
     fact = database.get_factorised("R")
-    assert doomed not in set(fact.iter_tuples())
+    assert doomed not in set(iter_tuples(fact))
     flat = set(database.flat("R").project(fact.schema(), dedup=False).rows)
-    assert set(fact.iter_tuples()) == flat
+    assert set(iter_tuples(fact)) == flat
 
 
 def test_insert_missing_column_rejected():
