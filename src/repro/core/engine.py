@@ -9,7 +9,11 @@ factorised databases.
    product operator; natural joins over shared attribute names are
    canonicalised into explicit equality selections with renames, as in
    the paper's formulation (Section 5.1);
-2. *constant selections* — evaluated in one traversal each;
+2. *selections* — constant and expression selections, each evaluated in
+   one traversal of the input factorisation.  An expression's
+   attributes must lie on one root-to-leaf path; a view whose f-tree
+   puts them on different branches is read through its flat path
+   f-tree instead;
 3. *f-plan* — the optimiser (greedy by default, Section 5.2) compiles
    equality selections, partial aggregation and restructuring into a
    plan, which is executed operator by operator;
@@ -288,7 +292,7 @@ class FDBEngine:
         with.
         """
         query = _with_effective_projection(query, database)
-        decisions, _, hypergraph, equalities = self._input_decisions(
+        decisions, hypergraph, equalities = self._input_decisions(
             query, database
         )
         ftree = self._shape_from_decisions(decisions)
@@ -305,22 +309,17 @@ class FDBEngine:
         ``query`` is the runtime (parameter-bound) form of
         ``compiled.query``: selections and output shaping come from it,
         while the optimisation work is skipped entirely — the retained
-        ``compiled.plan`` replays against a freshly built input
-        factorisation.
+        ``compiled.plan`` replays against the input factorisation.
         """
         query = _with_effective_projection(query, database)
-        fact, _, _ = self._prepare_inputs(query, database)
+        fact = self._prepare_inputs(query, database)
         trace = ExecutionTrace()
         stats = agg.ExpressionStats()
         trace.expression_stats = stats
         trace.provenance = compiled.provenance
 
-        # Constant selections first (Section 5.1: evaluated in one
-        # pass); expression selections were pushed into the inputs by
-        # ``_prepare_inputs``.
-        select_plan = FPlan(
-            [SelectStep(c) for c in query.comparisons if not c.is_expression]
-        )
+        # Selections first, one traversal each (Section 5.1).
+        select_plan = FPlan([SelectStep(c) for c in query.comparisons])
         fact = select_plan.execute(fact, trace)
         fact = compiled.plan.execute(fact, trace)
 
@@ -368,18 +367,11 @@ class FDBEngine:
                 for name, (source, rows) in provenance["stats"].items()
             )
             lines.append(f"statistics: {rendered}")
-        expression_selects = [c for c in query.comparisons if c.is_expression]
-        if expression_selects:
-            conditions = " ∧ ".join(str(c) for c in expression_selects)
-            lines.append(
-                f"σ[{conditions}]  (row-wise on the owning input relation)"
-            )
         lines.append("input f-tree:")
         lines.extend("  " + line for line in ftree.pretty().splitlines())
-        simple_selects = [c for c in query.comparisons if not c.is_expression]
-        if simple_selects:
-            conditions = " ∧ ".join(str(c) for c in simple_selects)
-            lines.append(f"σ[{conditions}]  (one traversal)")
+        for condition in query.comparisons:
+            node = ops.selection_node(ftree, condition)
+            lines.append(f"σ[{condition}]  (one traversal, filters {node.name})")
         for step, tree in zip(plan, trees[1:]):
             exponent = s_parameter(tree, hypergraph)
             lines.append(f"{str(step):<44} bound O(|D|^{exponent:.2f})")
@@ -419,16 +411,21 @@ class FDBEngine:
     # ------------------------------------------------------------------
     def _input_decisions(
         self, query: Query, database: "Database"
-    ) -> tuple[list["_InputDecision"], dict, Hypergraph, tuple]:
+    ) -> tuple[list["_InputDecision"], Hypergraph, tuple]:
         """The structural decisions shared by compile and run.
 
         For each input relation: the rename mapping, whether the
-        registered factorisation is usable (an expression selection
-        forces the flat path), the renamed schema, and the path order
-        (join attributes near the root).  Compile (:meth:`_input_shape`)
-        and run (:meth:`_prepare_inputs`) both consume exactly this —
-        one source of truth, so a plan chosen at compile time applies
-        verbatim to the factorisation built at run time.
+        registered factorisation is usable, the renamed schema, and the
+        path order (join attributes near the root).  A registered view
+        stays usable unless an expression selection's attributes lie on
+        different branches of its f-tree; that input falls back to the
+        flat path f-tree, on which every attribute set lies on one path.
+        The decision reads attribute names only, never selection values,
+        so compiled plans stay value-independent.  Compile
+        (:meth:`planning_inputs`) and run (:meth:`_prepare_inputs`) both
+        consume exactly this — one source of truth, so a plan chosen at
+        compile time applies verbatim to the factorisation built at run
+        time.
         """
         schemas = {name: database.schema(name) for name in query.relations}
         renames, natural = natural_equalities(schemas, query.relations)
@@ -442,6 +439,10 @@ class FDBEngine:
         for name in query.relations:
             mapping = renames[name]
             registered = database.get_factorised(name)
+            if registered is not None and not _on_one_path(
+                registered.ftree, selections.get(name, ()), mapping
+            ):
+                registered = None
             schema = tuple(mapping.get(a, a) for a in schemas[name])
             order = sorted(
                 schema,
@@ -451,9 +452,7 @@ class FDBEngine:
                 _InputDecision(
                     name=name,
                     mapping=mapping,
-                    registered=(
-                        registered if name not in selections else None
-                    ),
+                    registered=registered,
                     schema=schema,
                     order=tuple(order),
                 )
@@ -463,14 +462,15 @@ class FDBEngine:
         equalities = tuple(natural) + tuple(query.equalities)
         classes = _equivalence_classes(equalities)
         hypergraph = Hypergraph(hyperedges).with_equivalences(classes)
-        return decisions, selections, hypergraph, equalities
+        return decisions, hypergraph, equalities
 
     def _prepare_inputs(
         self, query: Query, database: "Database"
-    ) -> tuple[Factorisation, Hypergraph, tuple]:
-        decisions, selections, hypergraph, equalities = self._input_decisions(
-            query, database
-        )
+    ) -> Factorisation:
+        """The input factorisation: the product of every input's
+        registered view (renamed) or path factorisation of its flat
+        form, as :meth:`_input_decisions` decided."""
+        decisions, _, _ = self._input_decisions(query, database)
         facts = []
         for decision in decisions:
             if decision.registered is not None:
@@ -478,32 +478,9 @@ class FDBEngine:
                 for old, new in decision.mapping.items():
                     fact = ops.rename(fact, old, new)
             else:
-                # Expression selections are evaluated row-wise on the
-                # (possibly flattened) input before factorisation — a
-                # localised filter, since each condition's attributes
-                # live in exactly one input.
                 relation = database.flat(decision.name)
                 if decision.mapping:
                     relation = relation.rename(decision.mapping)
-                for condition in selections.get(decision.name, ()):
-                    expression = condition.attribute
-                    positions = [
-                        (a, relation.position(a))
-                        for a in expression.attributes()
-                    ]
-                    relation = Relation(
-                        relation.schema,
-                        [
-                            row
-                            for row in relation.rows
-                            if condition.test(
-                                expression.evaluate(
-                                    {a: row[p] for a, p in positions}
-                                )
-                            )
-                        ],
-                        name=relation.name,
-                    )
                 fact = factorise_path(
                     relation,
                     key=decision.name,
@@ -514,23 +491,7 @@ class FDBEngine:
         fact = facts[0]
         for other in facts[1:]:
             fact = ops.product(fact, other)
-        return fact, hypergraph, equalities
-
-    def _input_shape(
-        self, query: Query, database: "Database"
-    ) -> tuple[FTree, Hypergraph, tuple]:
-        """Schema-level twin of :meth:`_prepare_inputs`: the f-tree the
-        inputs *will* have, without building any factorisation.
-
-        Consumes the same :meth:`_input_decisions`, so both phases
-        agree by construction: registered factorised views contribute
-        their own (renamed) f-tree, flat inputs the path f-tree over
-        the decided attribute order.
-        """
-        decisions, _, hypergraph, equalities = self._input_decisions(
-            query, database
-        )
-        return self._shape_from_decisions(decisions), hypergraph, equalities
+        return fact
 
     @staticmethod
     def _shape_from_decisions(decisions: "list[_InputDecision]") -> FTree:
@@ -992,9 +953,9 @@ def _assign_expression_selections(
     """Map each expression selection to the one input relation owning
     all its attributes (post-rename names).
 
-    The FDB engine evaluates these row-wise on that input before
-    factorisation — a localised filter.  A condition whose attributes
-    span inputs has no single carrier and is rejected.
+    The FDB engine filters that input's factorisation in one traversal,
+    so a condition whose attributes span inputs has no single carrier
+    and is rejected.
     """
     conditions = [c for c in query.comparisons if c.is_expression]
     if not conditions:
@@ -1013,11 +974,25 @@ def _assign_expression_selections(
             raise QueryError(
                 f"expression selection {condition} references attributes "
                 "of more than one input relation (or unknown attributes); "
-                "the FDB engine evaluates expression selections per input "
-                "relation"
+                "the FDB engine evaluates an expression selection on one "
+                "input relation"
             )
         assigned.setdefault(owners[0], []).append(condition)
     return assigned
+
+
+def _on_one_path(
+    ftree: FTree, conditions: Iterable, mapping: dict[str, str]
+) -> bool:
+    """Whether each condition's attributes (post-rename names, mapped
+    back through ``mapping``) lie on one root-to-leaf path of ``ftree``."""
+    original = {new: old for old, new in mapping.items()}
+    return all(
+        not condition.attributes
+        or ftree.path_node(original.get(a, a) for a in condition.attributes)
+        is not None
+        for condition in conditions
+    )
 
 
 def _comparison(condition) -> "Comparison":

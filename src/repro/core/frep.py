@@ -323,8 +323,9 @@ def map_cunion_at(
     fact: Factorisation,
     root_index: int,
     steps: Sequence[int],
-    transform: Callable[[FNode, CUnion], CUnion],
+    transform: Callable[..., CUnion],
     new_ftree: FTree,
+    with_path: bool = False,
 ) -> Factorisation:
     """Rebuild a factorisation with ``transform`` applied at one position.
 
@@ -332,32 +333,41 @@ def map_cunion_at(
     :meth:`repro.core.ftree.FTree.path_to`); the transform runs once per
     fragment instance at that position (once per ancestor context) and
     must return a :class:`CUnion` with the child-column arity of the
-    (possibly reshaped) target node.  Entries whose transformed fragment
-    becomes empty are filtered out of the parent's value array *and
-    every sibling column*, and the pruning propagates upwards (an empty
-    union kills its parent entry, matching ∅ absorption through
-    products).
+    (possibly reshaped) target node.  With ``with_path`` it is called
+    as ``transform(node, union, path)``, ``path`` holding the entry
+    values of the context's ancestors root first — the bindings a
+    condition over several path attributes reads.  Entries whose
+    transformed fragment becomes empty are filtered out of the parent's
+    value array *and every sibling column*, and the pruning propagates
+    upwards (an empty union kills its parent entry, matching ∅
+    absorption through products).
     """
 
-    def rebuild(node: FNode, union: CUnion, remaining: Sequence[int]) -> CUnion:
+    def rebuild(
+        node: FNode, union: CUnion, remaining: Sequence[int], path: tuple
+    ) -> CUnion:
         if not remaining:
+            if with_path:
+                return transform(node, union, path)
             return transform(node, union)
         step, rest = remaining[0], remaining[1:]
         cols = union.children
+        values = union.values
         child_node = node.children[step]
         new_col: list[CUnion] = []
         keep: list[int] = []
         for i, sub in enumerate(cols[step]):
-            new_child = rebuild(child_node, sub, rest)
+            new_child = rebuild(
+                child_node, sub, rest, path + (values[i],) if with_path else path
+            )
             if not new_child.values:
                 continue  # empty fragment: the entry represents ∅, prune it
             keep.append(i)
             new_col.append(new_child)
-        if len(keep) == len(union.values):
-            values = union.values
+        if len(keep) == len(values):
             children = cols[:step] + (new_col,) + cols[step + 1 :]
         else:
-            values = [union.values[i] for i in keep]
+            values = [values[i] for i in keep]
             children = tuple(
                 new_col if c == step else [cols[c][i] for i in keep]
                 for c in range(len(cols))
@@ -366,6 +376,6 @@ def map_cunion_at(
 
     new_roots = list(fact.roots)
     new_roots[root_index] = rebuild(
-        fact.ftree.roots[root_index], fact.roots[root_index], list(steps)
+        fact.ftree.roots[root_index], fact.roots[root_index], list(steps), ()
     )
     return Factorisation(new_ftree, new_roots)

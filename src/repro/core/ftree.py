@@ -300,6 +300,16 @@ class FTree:
             or self.is_ancestor(second, first)
         )
 
+    def path_node(self, names: Iterable[str]) -> FNode | None:
+        """The deepest node holding one of ``names`` when the nodes of
+        all of them lie on one root-to-leaf path, else None."""
+        nodes = [self.node(name) for name in names]
+        if not nodes:
+            return None
+        deepest = max(nodes, key=self.depth)
+        spine = {id(deepest)} | {id(n) for n in self.ancestors(deepest)}
+        return deepest if all(id(n) in spine for n in nodes) else None
+
     # ------------------------------------------------------------------
     # Path constraint (Proposition 1)
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ Implemented operators:
 ``swap``              χ_{A,B}: exchange a node with its parent (Section 4.2)
 ``merge_siblings``    selection A=B for sibling nodes (sorted intersection)
 ``absorb``            selection A=B when one node is the other's descendant
-``select_constant``   selection Aθc in one traversal
+``select_constant``   selection Aθc (or exprθc over one path) in one traversal
 ``remove_leaf``       projection step: drop a leaf node
 ``rename``            rename an attribute or aggregate (constant time)
 ``product``           cross product: concatenate forests
@@ -555,17 +555,48 @@ def absorb(
 # ---------------------------------------------------------------------------
 @_timed("select")
 def select_constant(fact: Factorisation, condition: Comparison) -> Factorisation:
-    """σ_{AθC}: one filter pass over the value array of A's unions."""
-    ftree = fact.ftree
-    node = ftree.node(condition.attribute)
-    component: int | None = None
-    if node.is_aggregate:
-        component = _scalar_component(node.aggregate)
-    test = condition.test
+    """σ_{φθC}: one filter pass over the unions of one node.
 
-    def transform(_: FNode, union: CUnion) -> CUnion:
+    An attribute condition AθC tests the value array of A's unions.  An
+    expression condition (``price * qty > 100``) filters the unions of
+    the deepest node its attributes reach (:func:`selection_node`); the
+    ancestors' values are bound by the same traversal that reaches those
+    unions, so each entry is tested once, in its own context.  Entries
+    whose fragments become empty are pruned upward.
+    """
+    ftree = fact.ftree
+    node = selection_node(ftree, condition)
+    test = condition.test
+    expression = condition.attribute if condition.is_expression else None
+    component: int | None = None
+    own: list[str] = []  # expression attributes held by ``node``
+    bound: list[tuple[str, int]] = []  # (attribute, ancestor depth)
+    if expression is not None:
+        spine = [id(n) for n in reversed(ftree.ancestors(node))]
+        for name in expression.attributes():
+            holder = ftree.node(name)
+            if holder.is_aggregate:
+                raise OperatorError(
+                    f"selection {condition} reads aggregate {name!r}"
+                )
+            if holder is node:
+                own.append(name)
+            else:
+                bound.append((name, spine.index(id(holder))))
+    elif node.is_aggregate:
+        component = _scalar_component(node.aggregate)
+
+    def transform(_: FNode, union: CUnion, path: tuple = ()) -> CUnion:
         values = union.values
-        if component is None:
+        if expression is not None:
+            binding = {name: path[depth] for name, depth in bound}
+            keep = []
+            for i, value in enumerate(values):  # repro: allow[kernel-scalar-loop] -- each entry binds its own value into the expression
+                for name in own:
+                    binding[name] = value
+                if test(expression.evaluate(binding)):
+                    keep.append(i)
+        elif component is None:
             keep = [i for i, value in enumerate(values) if test(value)]
         else:
             keep = [
@@ -579,7 +610,32 @@ def select_constant(fact: Factorisation, condition: Comparison) -> Factorisation
         )
 
     root_index, steps = ftree.path_to(node.name)
-    return map_cunion_at(fact, root_index, steps, transform, fact.ftree)
+    return map_cunion_at(
+        fact, root_index, steps, transform, ftree, with_path=bool(bound)
+    )
+
+
+def selection_node(ftree: FTree, condition: Comparison) -> FNode:
+    """The node whose unions :func:`select_constant` filters.
+
+    An attribute condition filters at its attribute's node, an
+    expression condition at the deepest node of its attributes, which
+    must all lie on one root-to-leaf path (an attribute-free expression
+    filters at the first root).
+    """
+    if not condition.is_expression:
+        return ftree.node(condition.attribute)
+    names = condition.attributes
+    if not names:
+        return ftree.roots[0]
+    node = ftree.path_node(names)
+    if node is None:
+        raise OperatorError(
+            f"selection {condition}: attributes {', '.join(names)} do not "
+            "lie on one root-to-leaf path of the f-tree"
+        )
+    return node
+
 
 def _scalar_component(aggregate: AggregateAttribute) -> int:
     if len(aggregate.functions) != 1:

@@ -5,7 +5,8 @@ A :class:`repro.expr.Param` may appear
 - as the *value* of a constant selection (``where("price", ">",
   param("floor"))``, SQL ``WHERE price > :floor``),
 - inside the expression on the *left* of a selection
-  (``price * :rate > 100`` — evaluated row-wise on the owning input),
+  (``price * :rate > 100`` — the plan depends on the attribute names
+  only, so a re-bound value reuses it),
 - as a HAVING comparison value, and
 - inside a computed output column (``SELECT price * :rate AS gross``).
 

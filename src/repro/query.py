@@ -73,7 +73,9 @@ class Comparison:
 
     ``attribute`` is an attribute name in the classical case; it may
     also be a scalar :class:`repro.expr.Expr` (``col("price") *
-    col("qty") > 100``), which engines evaluate row-wise.
+    col("qty") > 100``).  The FDB engines filter the factorisation in
+    one traversal either way (:func:`repro.core.operators.select_constant`);
+    the flat engines test each row.
     """
 
     attribute: "str | Expr"

@@ -218,3 +218,203 @@ def test_non_injective_computed_column_dedups(session):
             session.query("S").select((col("price") * 0, "z")).run(engine=engine)
         )
         assert result.rows == [(0,)], engine
+
+
+# ---------------------------------------------------------------------------
+# Expression selections run on the factorisation
+# ---------------------------------------------------------------------------
+ORACLES = ("rdb", "sqlite")
+FDB_ENGINES = ("fdb", "fdb-factorised")
+
+E5_SQL = (
+    "SELECT customer, SUM(price) AS revenue FROM R1 "
+    "WHERE price * 2 > 20 GROUP BY customer"
+)
+
+
+@pytest.fixture(scope="module")
+def workload_db():
+    from repro.data.workloads import build_workload_database
+
+    return build_workload_database(scale=0.1, seed=2013)
+
+
+def branching_session():
+    """A view ``V`` factorised over g → (x → y, z), plus its flat form."""
+    from repro.core.build import factorise
+    from repro.core.ftree import build_ftree
+
+    rows = sorted(
+        (g, x, y, z)
+        for g in (1, 2, 3)
+        for x, y in ((1, 2), (1, 5), (3, 4), (g, g + 6))
+        for z in (1, 2 * g)
+    )
+    view = Relation(("g", "x", "y", "z"), sorted(set(rows)), "V")
+    ftree = build_ftree(
+        [("g", [("x", ["y"]), "z"])],
+        keys={"g": {"A", "B"}, "x": {"A"}, "y": {"A"}, "z": {"B"}},
+    )
+    session = connect(view)
+    session.add_factorised("V", factorise(view, ftree))
+    return session
+
+
+class _BuildCounter:
+    """Counts calls of the engine's flat-input path factorisation."""
+
+    def __init__(self, monkeypatch):
+        import repro.core.engine as engine_module
+
+        self.calls = 0
+        original = engine_module.factorise_path
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "factorise_path", counted)
+
+
+def assert_parity(session, builder_or_sql, engines=FDB_ENGINES, params=None):
+    """Rows of every FDB engine equal rdb's and sqlite's; returns them."""
+    rows = {
+        engine: sorted(
+            session.execute(builder_or_sql, engine=engine, params=params).rows
+        )
+        for engine in engines + ORACLES
+    }
+    for engine in engines:
+        for oracle in ORACLES:
+            assert rows[engine] == rows[oracle], (engine, oracle)
+    return rows["sqlite"]
+
+
+def test_expression_selection_on_registered_view(workload_db, monkeypatch):
+    session = connect(workload_db, cache=False)
+    counter = _BuildCounter(monkeypatch)
+    rows = assert_parity(session, E5_SQL, FDB_ENGINES + ("fdb-parallel",))
+    assert rows
+    assert counter.calls == 0  # R1 was read as its registered view
+
+
+def test_two_attributes_on_one_path_keep_the_view(monkeypatch):
+    session = branching_session()
+    counter = _BuildCounter(monkeypatch)
+    for condition in (
+        (col("x") + col("y"), ">", 6),  # x binds from y's parent
+        (col("g") * col("y"), ">=", 8),  # the root binds two levels up
+        (col("y") - col("x") * col("g"), "<", 2),
+    ):
+        builder = session.query("V").where(*condition).group_by("g").sum("y", "s")
+        assert assert_parity(session, builder)
+    assert counter.calls == 0
+
+
+def test_cross_branch_condition_falls_back_to_the_flat_path(monkeypatch):
+    session = branching_session()
+    counter = _BuildCounter(monkeypatch)
+    builder = (
+        session.query("V").where(col("y") * col("z"), ">", 8).group_by("g")
+        .sum("z", "s")
+    )
+    rows = assert_parity(session, builder)
+    assert rows
+    assert counter.calls == len(FDB_ENGINES)  # one flat build per run
+
+
+def test_expression_selection_on_flat_input():
+    session = connect(
+        Relation(
+            ("customer", "price", "qty"),
+            [("a", 10, 5), ("a", 30, 4), ("b", 20, 6), ("b", 7, 2), ("c", 2, 2)],
+            "Orders",
+        )
+    )
+    builder = (
+        session.query("Orders").where(col("price") * col("qty"), ">", 100)
+        .group_by("customer").sum("qty", "units")
+    )
+    assert assert_parity(session, builder) == [("a", 4), ("b", 6)]
+    spj = session.query("Orders").where(col("price") * col("qty"), ">", 40)
+    assert len(assert_parity(session, spj)) == 3
+
+
+def test_expression_selection_on_renamed_input(session, monkeypatch):
+    from repro.core.build import factorise_path
+
+    # T's ``k`` is renamed by the natural join with S; T is read as its
+    # registered view, so the condition runs on the renamed view.
+    session.add_factorised(
+        "T",
+        factorise_path(
+            session.database.flat("T"), key="T", order=["k", "qty"]
+        ),
+    )
+    builder = (
+        session.query("S", "T").where(col("qty") * 2, ">", 3)
+        .where(col("price") - 1, ">=", 6).group_by("k").sum("price", "s")
+    )
+    counter = _BuildCounter(monkeypatch)
+    assert assert_parity(session, builder) == [(1, 60)]
+    assert counter.calls == len(FDB_ENGINES)  # S only: it has no view
+
+
+def test_expression_selection_false_everywhere(workload_db):
+    session = connect(workload_db)
+    sql = (
+        "SELECT customer, SUM(price) AS revenue FROM R1 "
+        "WHERE price * 0 > 1 GROUP BY customer"
+    )
+    assert assert_parity(session, sql, FDB_ENGINES + ("fdb-parallel",)) == []
+
+
+def test_parameter_inside_expression_rebinds_one_plan(workload_db):
+    session = connect(workload_db)
+    sql = (
+        "SELECT customer, SUM(price) AS revenue FROM R1 "
+        "WHERE price * :rate > 20 GROUP BY customer"
+    )
+    prepared = session.prepare(sql, engine="fdb")
+    results = {}
+    for rate in (2, 3):
+        result = prepared.run(rate=rate)
+        results[rate] = sorted(result.rows)
+        expected = assert_parity(session, sql, params={"rate": rate})
+        assert results[rate] == expected
+    assert result.lifecycle.plan_cache == "hit"  # the rate=3 run
+    assert results[2] != results[3]
+
+
+def test_expression_selection_explain(workload_db):
+    session = connect(workload_db)
+    plan = session.explain(E5_SQL, engine="fdb")
+    assert "σ[price * 2 > 20]  (one traversal, filters price)" in plan
+    assert "row-wise" not in plan
+    analyzed = session.execute(E5_SQL, engine="fdb").explain()
+    execution = analyzed[analyzed.index("f-plan execution:"):].splitlines()
+    step = next(line for line in execution if "σ[price * 2 > 20]" in line)
+    assert "size=" in step and step.endswith(" ms")
+
+
+def test_e5_reads_r1_without_a_flat_build(workload_db, monkeypatch):
+    from dataclasses import replace
+
+    from repro.data.workloads import FULL_WORKLOAD
+    from repro.query import Comparison
+
+    counter = _BuildCounter(monkeypatch)
+    engine = FDBEngine()
+    e5 = FULL_WORKLOAD["E5"].query
+    engine.execute(e5, workload_db)
+    assert counter.calls == 0
+    # R1's only numeric attribute is price, so the cross-branch
+    # condition concatenates strings: customer sits under date, item
+    # under package in a sibling subtree.
+    cross = replace(
+        e5, comparisons=(Comparison(col("customer") + col("item"), ">", "c"),)
+    )
+    fdb = engine.execute(cross, workload_db)
+    assert counter.calls == 1
+    rdb = connect(workload_db).execute(cross, engine="rdb")
+    assert sorted(fdb.rows) == sorted(rdb.rows)

@@ -7,6 +7,7 @@ from repro.core.build import factorise, factorise_path
 from repro.core.enumerate import iter_tuples
 from repro.core.frep import Factorisation
 from repro.core.ftree import build_ftree
+from repro.expr import col, lit
 from repro.query import Comparison
 from repro.relational.operators import multiway_join
 from repro.relational.relation import Relation
@@ -233,6 +234,35 @@ def test_select_constant_to_empty(pizza_fact):
     )
     assert selected.is_empty()
     assert list(iter_tuples(selected)) == []
+
+
+@pytest.mark.parametrize(
+    "expression, op, value",
+    [
+        (col("price") * 2, ">", 3),  # the filtered node's own value
+        (col("item") + col("pizza"), "<", "cheeseM"),  # binds the root
+        (col("price") * 0, ">", 1),  # false everywhere
+        (lit(1) + 1, "=", 2),  # attribute-free: true everywhere
+    ],
+)
+def test_select_expression(pizza_fact, expression, op, value):
+    condition = Comparison(expression, op, value)
+    selected = ops.select_constant(pizza_fact, condition)
+    selected.validate()
+    schema = pizza_fact.schema()
+    expected = {
+        row
+        for row in iter_tuples(pizza_fact)
+        if condition.test(expression.evaluate(dict(zip(schema, row))))
+    }
+    assert set(iter_tuples(selected)) == expected
+    assert selected.is_empty() == (not expected)
+
+
+def test_select_expression_needs_one_path(pizza_fact):
+    condition = Comparison(col("customer") + col("item"), ">", "")
+    with pytest.raises(ops.OperatorError, match="one root-to-leaf path"):
+        ops.select_constant(pizza_fact, condition)
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,10 @@ def test_trace_size_accounting_matches(db, name):
     _, _, trace = engine.execute_planned(compiled, query, db)
 
     effective = _with_effective_projection(query, db)
-    fact, _, _ = engine._prepare_inputs(effective, db)
-    steps = [
-        SelectStep(c) for c in effective.comparisons if not c.is_expression
-    ] + list(compiled.plan)
+    fact = engine._prepare_inputs(effective, db)
+    steps = [SelectStep(c) for c in effective.comparisons] + list(
+        compiled.plan
+    )
     sizes = []
     for step in steps:
         fact = step.apply(fact)

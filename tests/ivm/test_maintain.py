@@ -341,7 +341,7 @@ def test_engine_reads_maintained_columnar_view_without_conversion(monkeypatch):
 
     def recording(self, query, db):
         prepared = prepare(self, query, db)
-        inputs.append(prepared[0])
+        inputs.append(prepared)
         return prepared
 
     def no_conversion(self):
